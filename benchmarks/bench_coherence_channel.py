@@ -10,9 +10,11 @@ the same GDNPEU primitive.
 import pytest
 
 from repro.analysis.reporting import format_table
+from repro.analysis.timeline import timeline_rows
 from repro.core.harness import ATTACKER_CORE, prepare_machine
 from repro.core.victims import gdnpeu_store_victim
 from repro.system.agent import AttackerAgent
+from repro.trace import Tracer
 
 from _common import emit_report
 
@@ -29,10 +31,10 @@ SCHEMES = [
 
 def store_retire_time(scheme, secret):
     spec = gdnpeu_store_victim()
-    machine, core, _ = prepare_machine(spec, scheme, secret, trace=True)
+    machine, core, _ = prepare_machine(spec, scheme, secret, tracer=Tracer())
     machine.run(until=lambda: core.halted, max_cycles=30_000)
-    store = next(i for i in core.trace if i.name == "store A")
-    return store.events["retire"]
+    (store,) = timeline_rows(core, names=["store A"])
+    return store.retire
 
 
 def decode_bit(scheme, secret, probe_cycle):

@@ -11,6 +11,7 @@ Run:  python examples/pipeline_timelines.py
 from repro.analysis.timeline import render_timeline, timeline_rows
 from repro.core.harness import run_victim_trial
 from repro.core.victims import gdmshr_victim, gdnpeu_victim, girs_victim
+from repro.trace import Tracer
 
 
 def show(spec, scheme, names, caption):
@@ -18,7 +19,7 @@ def show(spec, scheme, names, caption):
     print(caption)
     print("=" * 78)
     for secret in (0, 1):
-        result = run_victim_trial(spec, scheme, secret, trace=True)
+        result = run_victim_trial(spec, scheme, secret, tracer=Tracer())
         rows = timeline_rows(result.core, names=names)
         trimmed, adds = [], 0
         for row in rows:

@@ -5,12 +5,11 @@ complete -> retire/squash) so the interference cascades can be *seen*:
 the gadget occupying the non-pipelined unit while the f-chain waits,
 the MSHR-blocked victim load, the frozen frontend.
 
-Rows are built from the structured trace (:mod:`repro.trace`) when one
-was collected — :func:`rows_from_events` reconstructs each lifetime
-from its FETCH/DISPATCH/ISSUE/WRITEBACK/COMMIT/SQUASH events — and fall
-back to the legacy per-instruction ``core.trace`` list otherwise, so
-``run_victim_trial(..., trace=True)`` callers see identical timelines
-either way.
+Rows are built from the structured trace (:mod:`repro.trace`), the
+simulator's only per-instruction record: :func:`rows_from_events`
+reconstructs each lifetime from its FETCH/DISPATCH/ISSUE/WRITEBACK/
+COMMIT/SQUASH events.  Record a run by passing ``tracer=Tracer()`` to
+``run_victim_trial`` (or any other entry point that takes a tracer).
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.pipeline.core import Core
-from repro.pipeline.dyninstr import DynInstr, Phase
 from repro.trace.bus import Tracer
 from repro.trace.events import EventKind, TraceEvent
 
@@ -57,11 +55,9 @@ def rows_from_events(
     """Reconstruct per-instruction rows from a structured trace.
 
     The first occurrence of each stage event wins (an instruction that
-    replays keeps its original timestamps, matching the legacy
-    ``DynInstr.events`` bookkeeping).  Included rows mirror the legacy
-    ``core.trace`` population: everything that retired, plus squashed
-    instructions that had reached the ROB (a DISPATCH event) — fetch-
-    queue squashes never produced a row before and still don't.
+    replays keeps its original timestamps).  Rows cover everything that
+    retired, plus squashed instructions that had reached the ROB (a
+    DISPATCH event); fetch-queue squashes get no row.
     """
     stamps: Dict[int, Dict[EventKind, int]] = {}
     instr_name: Dict[int, str] = {}
@@ -98,30 +94,6 @@ def rows_from_events(
     return rows
 
 
-def _rows_from_instrs(
-    instrs: Iterable[DynInstr], *, names: Optional[Sequence[str]] = None
-) -> List[TimelineRow]:
-    """Legacy path: rows from the core's retired-instruction list."""
-    rows = []
-    for instr in sorted(instrs, key=lambda i: i.seq):
-        if not _keep(instr.name, names):
-            continue
-        ev = instr.events
-        rows.append(
-            TimelineRow(
-                seq=instr.seq,
-                name=instr.name,
-                fetch=ev.get("fetch"),
-                dispatch=ev.get("dispatch"),
-                issue=ev.get("issue"),
-                complete=ev.get("complete"),
-                retire=ev.get("retire"),
-                squashed=instr.phase is Phase.SQUASHED,
-            )
-        )
-    return rows
-
-
 def timeline_rows(
     source: Union[Core, Tracer, Iterable[TraceEvent]],
     *,
@@ -129,19 +101,21 @@ def timeline_rows(
 ) -> List[TimelineRow]:
     """Extract rows from a traced run.
 
-    ``source`` may be a :class:`Core` (its structured tracer is
-    preferred; the legacy ``core.trace`` list is the fallback), a
+    ``source`` may be a :class:`Core` (read through its tracer), a
     :class:`~repro.trace.Tracer`, or any iterable of
-    :class:`~repro.trace.TraceEvent`.
+    :class:`~repro.trace.TraceEvent`.  A core run without a tracer has
+    no record to read and raises :class:`ValueError`.
 
     ``names``: restrict (by instruction name prefix match) and preserve
     dynamic order.
     """
     if isinstance(source, Core):
-        tracer = source.tracer
-        if tracer is not None and tracer.events:
-            return rows_from_events(tracer.events, names=names)
-        return _rows_from_instrs(source.trace, names=names)
+        if source.tracer is None:
+            raise ValueError(
+                f"core {source.core_id} has no tracer: run it with "
+                "tracer=Tracer() to record a timeline"
+            )
+        return rows_from_events(source.tracer.events, names=names)
     if isinstance(source, Tracer):
         return rows_from_events(source.events, names=names)
     return rows_from_events(source, names=names)

@@ -22,6 +22,7 @@ from repro.pipeline.core import Core
 from repro.pipeline.scheme_api import SpeculationScheme
 from repro.schemes.registry import make_scheme
 from repro.system.machine import Machine
+from repro.trace import EventKind, Tracer
 from repro.workloads.synthetic import SyntheticWorkload, synthetic_suite
 
 
@@ -47,25 +48,27 @@ def fig7_contention_histogram(
     histograms = {"baseline": Histogram(), "interference": Histogram()}
     for trial in range(trials):
         for secret, series in ((0, "baseline"), (1, "interference")):
+            tracer = Tracer(kinds=(EventKind.ISSUE, EventKind.WRITEBACK))
             machine, core, _ = prepare_machine(
-                spec, scheme, secret, hierarchy_config=hier, trace=True
+                spec, scheme, secret, hierarchy_config=hier, tracer=tracer
             )
             machine.hierarchy.memory.reseed(1000 + trial)
             machine.run(
                 until=lambda: core.halted, max_cycles=30_000, fast_forward=True
             )
-            t_start = _event_of(core, "f0", "issue")
-            t_end = _event_of(core, "load A", "complete")
+            t_start = _event_of(tracer, "f0", EventKind.ISSUE)
+            t_end = _event_of(tracer, "load A", EventKind.WRITEBACK)
             if t_start is None or t_end is None:
                 continue
             histograms[series].add(t_end - t_start)
     return histograms
 
 
-def _event_of(core: Core, name: str, stage: str) -> Optional[int]:
-    for instr in core.trace:
-        if instr.name == name and stage in instr.events:
-            return instr.events[stage]
+def _event_of(tracer: Tracer, name: str, kind: EventKind) -> Optional[int]:
+    """Cycle of the first ``kind`` event of instruction ``name``."""
+    for event in tracer.events:
+        if event.kind is kind and event.instr == name:
+            return event.cycle
     return None
 
 

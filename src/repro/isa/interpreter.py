@@ -27,7 +27,9 @@ class InterpreterResult:
 
     registers: Dict[str, int]
     memory: Dict[int, int]
-    #: Taken/not-taken outcome of each dynamically executed branch, in order.
+    #: Taken/not-taken outcome of each dynamically executed conditional
+    #: branch, in order — exactly the predictions an
+    #: :class:`~repro.pipeline.branch.OraclePredictor` is asked for.
     branch_outcomes: List[bool]
     #: (kind, address) of each architectural memory access, in order.
     memory_trace: List[Tuple[str, int]]
@@ -87,7 +89,8 @@ class Interpreter:
             elif inst.opclass is OpClass.BRANCH:
                 values = [self._read(regs, r) for r in inst.srcs]
                 taken = bool(inst.compute(*values))  # type: ignore[misc]
-                branch_outcomes.append(taken)
+                if not inst.unconditional:
+                    branch_outcomes.append(taken)
                 if taken:
                     next_slot = self.program.branch_target_slot(slot)
             else:  # pragma: no cover - exhaustive over OpClass

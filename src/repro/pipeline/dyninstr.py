@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.isa.instructions import Instruction, OpClass
 
@@ -55,8 +55,6 @@ class DynInstr:
     #: emits ``scheme.decision`` events only on transitions, so traces
     #: are identical with idle fast-forward on or off.
     last_decision: Optional[str] = None
-    #: Event trace: stage name -> cycle.
-    events: Dict[str, int] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
     @property
@@ -90,9 +88,6 @@ class DynInstr:
     def name(self) -> str:
         return self.static.name or self.static.opclass.value
 
-    def mark(self, stage: str, cycle: int) -> None:
-        self.events[stage] = cycle
-
     def source_values(self) -> List[int]:
         values = []
         for src in self.sources:
@@ -118,7 +113,7 @@ class DynInstr:
 # snapshot codec (used by repro.snapshot via Core.capture/restore)
 # ----------------------------------------------------------------------
 #: Bump when the capture tuple layout below changes.
-DYNINSTR_SNAP_VERSION = 1
+DYNINSTR_SNAP_VERSION = 2
 DYNINSTR_SNAP_SCHEMA = (
     "seq",
     "slot",
@@ -136,7 +131,6 @@ DYNINSTR_SNAP_SCHEMA = (
     "exposure_done",
     "value_predicted",
     "last_decision",
-    "events",
 )
 
 
@@ -165,7 +159,6 @@ def capture_dyninstr(instr: DynInstr) -> Tuple:
         instr.exposure_done,
         instr.value_predicted,
         instr.last_decision,
-        tuple(instr.events.items()),
     )
 
 
@@ -189,7 +182,6 @@ def restore_dyninstr(state: Tuple, static: Instruction) -> DynInstr:
         exposure_done,
         value_predicted,
         last_decision,
-        events,
     ) = state
     instr = DynInstr(seq=seq, slot=slot, static=static, pc_addr=pc_addr)
     instr.phase = phase
@@ -208,5 +200,4 @@ def restore_dyninstr(state: Tuple, static: Instruction) -> DynInstr:
     instr.exposure_done = exposure_done
     instr.value_predicted = value_predicted
     instr.last_decision = last_decision
-    instr.events = dict(events)
     return instr

@@ -236,7 +236,6 @@ class LoadStoreUnit:
             load.executed_invisibly = True
         load.value = result.value
         load.load_state = LS_INFLIGHT
-        load.mark("dcache", cycle)
         self._inflight.append(
             _InFlightLoad(load, cycle + result.latency, mshr_line, visible)
         )

@@ -57,7 +57,6 @@ class Machine:
         config: Optional[CoreConfig] = None,
         predictor: Optional[BranchPredictor] = None,
         registers: Optional[Dict[str, int]] = None,
-        trace: bool = False,
         tracer=None,
     ) -> Core:
         """Create a core running ``program`` under ``scheme``."""
@@ -73,8 +72,7 @@ class Machine:
             config=config or self.default_core_config,
             predictor=predictor,
             registers=registers,
-            trace=trace,
-            tracer=tracer or self.tracer,
+            tracer=self.tracer if tracer is None else tracer,
         )
         self.cores[core_id] = core
         return core
@@ -235,9 +233,11 @@ class Machine:
         self.hierarchy.restore(hierarchy_state)
         if tracer_state is not None and self.tracer is not None:
             events, t_cycle, t_core = tracer_state
-            # Slice-assign: agents/metrics hold references to this exact
-            # list, so truncation must happen in place.
-            self.tracer.events[:] = events
+            # In place: agents/metrics hold references to this exact
+            # list, so it is truncated and refilled, never replaced.
+            buffer = self.tracer.events
+            buffer.clear()
+            buffer.extend(events)
             self.tracer.cycle = t_cycle
             self.tracer.core = t_core
 

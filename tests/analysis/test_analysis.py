@@ -12,6 +12,7 @@ from repro.analysis import (
 from repro.isa import ProgramBuilder
 from repro.memory.hierarchy import CacheHierarchy
 from repro.pipeline import Core
+from repro.trace import Tracer
 
 from tests.conftest import small_hierarchy_config
 
@@ -59,7 +60,10 @@ class TestTimeline:
         b.addi("b", "a", 2, name="beta")
         b.load_addr("c", 0x9000, name="gamma")
         core = Core(
-            0, b.build(), CacheHierarchy(1, small_hierarchy_config()), trace=True
+            0,
+            b.build(),
+            CacheHierarchy(1, small_hierarchy_config()),
+            tracer=Tracer(),
         )
         core.run(max_cycles=50_000)
         return core

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.timeline import timeline_rows
 from repro.memory.hierarchy import HierarchyConfig, LevelConfig
+from repro.trace import EventKind, Tracer
+from repro.trace.events import STAGE_KINDS
 
 
 def pytest_addoption(parser):
@@ -48,11 +51,12 @@ def run_on_scheme(
     predictor=None,
     num_cores=2,
     warm_icache=True,
-    trace=True,
     max_cycles=200_000,
 ):
     """Run a program on core 0 of a small machine under a scheme.
 
+    The core records its pipeline stages on a :class:`Tracer`, so
+    :func:`timeline_rows` / :func:`rows_named` can read it back.
     Returns (machine, core).
     """
     from repro.system.machine import Machine
@@ -70,7 +74,33 @@ def run_on_scheme(
         scheme,
         predictor=predictor,
         registers=registers,
-        trace=trace,
+        tracer=Tracer(kinds=STAGE_KINDS),
     )
     machine.run(until=lambda: core.halted, max_cycles=max_cycles)
     return machine, core
+
+
+def rows_named(source, name, *, retired=False):
+    """Timeline rows of the instructions called exactly ``name``, in
+    program order; ``retired=True`` drops squashed instances.
+
+    ``source`` is anything :func:`timeline_rows` accepts (a traced core,
+    a tracer, or events).
+    """
+    return [
+        row
+        for row in timeline_rows(source)
+        if row.name == name and not (retired and row.squashed)
+    ]
+
+
+def first_l1d_lookup(tracer, addr, *, core=0):
+    """Cycle of the first L1D hit or miss on ``addr``'s line: when a
+    load's data-cache access started (it needs the hierarchy traced)."""
+    line = addr & ~63
+    for event in tracer.filtered(
+        kinds=(EventKind.CACHE_HIT, EventKind.CACHE_MISS)
+    ):
+        if event.arg("cache") == f"L1D.{core}" and event.arg("line") == line:
+            return event.cycle
+    return None

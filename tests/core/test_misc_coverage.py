@@ -32,13 +32,6 @@ class TestHarnessExtras:
         result = run_victim_trial(spec, "unsafe", 0, extra_lines=[chase_line])
         assert result.first_access(chase_line) is not None
 
-    def test_trace_flag_populates_core_trace(self):
-        spec = gdnpeu_victim()
-        traced = run_victim_trial(spec, "unsafe", 0, trace=True)
-        untraced = run_victim_trial(spec, "unsafe", 0)
-        assert traced.core.trace
-        assert not untraced.core.trace
-
     def test_scheme_object_accepted(self):
         from repro.schemes import DelayOnMiss
 

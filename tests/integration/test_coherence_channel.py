@@ -12,14 +12,17 @@ import pytest
 from repro.core.harness import ATTACKER_CORE, prepare_machine
 from repro.core.victims import gdnpeu_store_victim
 from repro.system.agent import AttackerAgent
+from repro.trace import Tracer
+
+from tests.conftest import rows_named
 
 
 def store_retire_time(scheme, secret):
     spec = gdnpeu_store_victim()
-    machine, core, _ = prepare_machine(spec, scheme, secret, trace=True)
+    machine, core, _ = prepare_machine(spec, scheme, secret, tracer=Tracer())
     machine.run(until=lambda: core.halted, max_cycles=30_000)
-    store = next(i for i in core.trace if i.name == "store A")
-    return store.events["retire"]
+    (store,) = rows_named(core, "store A")
+    return store.retire
 
 
 def run_bit(scheme, secret, probe_cycle):

@@ -9,58 +9,46 @@ identical architectural results.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.isa.instructions import OpClass
+from repro.core.harness import prepare_machine
+from repro.core.noninterference import nospec_outcomes
+from repro.core.victims import VICTIM_FACTORIES
+from repro.isa import Interpreter
 from repro.pipeline.branch import OraclePredictor
-from repro.pipeline.dyninstr import Phase
+from repro.pipeline.scheme_api import SpeculationScheme
+from repro.schemes.registry import make_scheme
 from repro.workloads import random_program
 
 from tests.conftest import run_on_scheme
 
 
-def retired_branch_outcomes(core):
-    return [
-        bool(i.actual_taken)
-        for i in core.trace
-        if i.is_branch
-        and i.phase is Phase.RETIRED
-        and not i.static.unconditional
-    ]
-
-
-def architectural_branch_outcomes(program, *, budget=100_000):
-    """Functional execution collecting conditional-branch outcomes."""
+def record_retired_branches(scheme):
+    """Wrap ``scheme.on_retire`` so every retired conditional branch's
+    outcome is appended, in retirement order, to the returned list."""
     outcomes = []
-    registers, memory = {}, {}
-    pc, executed = 0, 0
-    while pc < len(program) and executed < budget:
-        inst = program.at(pc)
-        executed += 1
-        nxt = pc + 1
-        if inst.opclass is OpClass.HALT:
-            break
-        values = [registers.get(r, 0) for r in inst.srcs]
-        if inst.opclass is OpClass.ALU:
-            registers[inst.dst] = inst.compute(*values)
-        elif inst.opclass is OpClass.LOAD:
-            registers[inst.dst] = memory.get(inst.compute(*values), 0)
-        elif inst.opclass is OpClass.STORE:
-            memory[inst.compute(*values)] = registers.get(inst.value_src, 0)
-        elif inst.opclass is OpClass.BRANCH:
-            taken = bool(inst.compute(*values))
-            if not inst.unconditional:
-                outcomes.append(taken)
-            if taken:
-                nxt = program.branch_target_slot(pc)
-        pc = nxt
+    inner = scheme.on_retire
+
+    def on_retire(core, instr):
+        if instr.is_branch and not instr.static.unconditional:
+            outcomes.append(bool(instr.actual_taken))
+        inner(core, instr)
+
+    scheme.on_retire = on_retire
     return outcomes
+
+
+def run_recorded(program, **kwargs):
+    scheme = SpeculationScheme()
+    outcomes = record_retired_branches(scheme)
+    machine, core = run_on_scheme(program, scheme, max_cycles=400_000, **kwargs)
+    return core, outcomes
 
 
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=4000))
 def test_branch_traces_agree(seed):
     program = random_program(seed)
-    machine, core = run_on_scheme(program, None, max_cycles=400_000)
-    assert retired_branch_outcomes(core) == architectural_branch_outcomes(program)
+    _, outcomes = run_recorded(program)
+    assert outcomes == Interpreter(program).run().branch_outcomes
 
 
 @settings(max_examples=10, deadline=None)
@@ -69,12 +57,31 @@ def test_oracle_replay_has_no_squashes(seed):
     """The NoSpec(E) construction: replaying recorded outcomes through
     the oracle predictor is mis-speculation-free and result-identical."""
     program = random_program(seed)
-    machine, core = run_on_scheme(program, None, max_cycles=400_000)
-    outcomes = retired_branch_outcomes(core)
-    machine2, core2 = run_on_scheme(
-        program, None, predictor=OraclePredictor(outcomes), max_cycles=400_000
-    )
+    core, outcomes = run_recorded(program)
+    core2, _ = run_recorded(program, predictor=OraclePredictor(outcomes))
     assert core2.stats.mispredicts == 0
     assert core2.stats.squashes == 0
     for reg, value in core.regfile.items():
         assert core2.regfile.get(reg) == value
+
+
+#: One scheme per recovery mechanism: plain squash, value-prediction
+#: replay, EU preemption, and cache-state rollback.
+RECOVERY_SCHEMES = ("unsafe", "dom-nontso-vp", "priority", "cleanupspec")
+
+
+@pytest.mark.parametrize("secret", (0, 1))
+@pytest.mark.parametrize("victim", sorted(VICTIM_FACTORIES))
+def test_victim_branch_stream_is_architectural(victim, secret):
+    """The premise of the §5.1 check: whatever the scheme's recovery
+    path, the victim's retired conditional-branch stream is its
+    architectural one, so the interpreter can supply NoSpec(E)'s oracle
+    outcomes."""
+    spec = VICTIM_FACTORIES[victim]()
+    expected = nospec_outcomes(spec, secret)
+    for name in RECOVERY_SCHEMES:
+        scheme = make_scheme(name)
+        outcomes = record_retired_branches(scheme)
+        machine, core, _ = prepare_machine(spec, scheme, secret)
+        machine.run(until=lambda: core.halted, max_cycles=30_000)
+        assert outcomes == expected, name

@@ -65,6 +65,22 @@ class TestInterpreter:
         assert result.registers["counter"] == 5
         assert result.branch_outcomes == [True] * 4 + [False]
 
+    def test_jumps_are_not_branch_outcomes(self):
+        """Only conditional branches consult the oracle predictor, so an
+        unconditional jump adds no outcome."""
+        b = ProgramBuilder()
+        b.imm("r1", 0)
+        b.jump("over")
+        b.imm("r2", 111)  # skipped
+        b.label("over")
+        b.branch_if(["r1"], lambda v: v == 1, "end")
+        b.imm("r3", 222)
+        b.label("end")
+        result = Interpreter(b.build()).run()
+        assert "r2" not in result.registers
+        assert result.registers["r3"] == 222
+        assert result.branch_outcomes == [False]
+
     def test_initial_registers_and_memory(self):
         b = ProgramBuilder()
         b.load("r1", ["base"], lambda a: a)

@@ -11,9 +11,9 @@ import pytest
 from repro.isa import ProgramBuilder
 from repro.memory.hierarchy import CacheHierarchy
 from repro.pipeline import Core, CoreConfig
-from repro.pipeline.dyninstr import Phase
+from repro.trace import Tracer
 
-from tests.conftest import small_hierarchy_config
+from tests.conftest import rows_named, small_hierarchy_config
 
 
 def cdb_victim():
@@ -40,13 +40,13 @@ def run(arbitration):
     hierarchy = CacheHierarchy(1, small_hierarchy_config())
     for slot in range(len(program)):
         hierarchy.l1i[0].fill(program.address_of_slot(slot) & ~63)
-    core = Core(0, program, hierarchy, config=config, trace=True)
+    core = Core(0, program, hierarchy, config=config, tracer=Tracer())
     core.run(max_cycles=100_000)
-    z = next(i for i in core.trace if i.name == "z")
-    target = next(i for i in core.trace if i.name == "target op")
+    (z,) = rows_named(core, "z")
+    (target,) = rows_named(core, "target op")
     # the f(z)->target path time: captures z's writeback starvation
     # rippling into the dependent op (the Fig. 1 interference shape)
-    return target.events["complete"] - z.events["issue"]
+    return target.complete - z.issue
 
 
 class TestCDBInterference:

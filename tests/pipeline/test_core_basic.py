@@ -4,13 +4,14 @@ import pytest
 
 from repro.isa import Interpreter, ProgramBuilder
 from repro.memory.hierarchy import CacheHierarchy
+from repro.analysis.timeline import timeline_rows
 from repro.pipeline import Core, CoreConfig, StaticTakenPredictor
-from repro.pipeline.dyninstr import Phase
+from repro.trace import EventKind, Tracer
 
 from tests.conftest import small_hierarchy_config
 
 
-def run_core(program, *, registers=None, predictor=None, trace=False, config=None):
+def run_core(program, *, registers=None, predictor=None, tracer=None, config=None):
     hierarchy = CacheHierarchy(1, small_hierarchy_config())
     core = Core(
         0,
@@ -19,7 +20,7 @@ def run_core(program, *, registers=None, predictor=None, trace=False, config=Non
         config=config or CoreConfig(),
         predictor=predictor,
         registers=registers,
-        trace=trace,
+        tracer=tracer,
     )
     core.run(max_cycles=100_000)
     return core
@@ -199,38 +200,35 @@ class TestPipelineInvariants:
         b.addi("r2", "r1", 1)
         b.load_addr("r3", 0x1000)
         b.store_addr(0x2000, "r2")
-        core = run_core(b.build(), trace=True)
-        for instr in core.trace:
-            if instr.phase is not Phase.RETIRED:
+        core = run_core(b.build(), tracer=Tracer())
+        for row in timeline_rows(core):
+            if row.squashed:
                 continue
-            ev = instr.events
-            assert ev["fetch"] <= ev["dispatch"]
-            if "issue" in ev:
-                assert ev["dispatch"] <= ev["issue"]
-                assert ev["issue"] < ev["complete"]
-            assert ev["complete"] <= ev["retire"]
+            assert row.fetch <= row.dispatch
+            if row.issue is not None:
+                assert row.dispatch <= row.issue
+                assert row.issue < row.complete
+            assert row.complete <= row.retire
 
     def test_retirement_in_program_order(self):
         b = ProgramBuilder()
         b.load_addr("slow", 0x9000)       # DRAM miss: completes late
         b.imm("fast", 1)                  # completes immediately
-        core = run_core(b.build(), trace=True)
-        retired = [i for i in core.trace if i.phase is Phase.RETIRED]
-        seqs = [i.seq for i in retired]
+        core = run_core(b.build(), tracer=Tracer())
+        # COMMIT events are emitted in retirement order.
+        seqs = [e.seq for e in core.tracer.filtered(kinds=[EventKind.COMMIT])]
         assert seqs == sorted(seqs)
 
     def test_out_of_order_completion(self):
         b = ProgramBuilder()
         b.load_addr("slow", 0x9000)
         b.imm("fast", 1)
-        core = run_core(b.build(), trace=True)
-        by_name = {i.name: i for i in core.trace}
-        slow = next(i for i in core.trace if i.is_load)
+        core = run_core(b.build(), tracer=Tracer())
+        by_name = {row.name: row for row in timeline_rows(core)}
+        slow = by_name["load"]
         fast = by_name["imm 0x1"]
-        assert fast.events["complete"] < slow.events["complete"]
-        assert fast.events["retire"] >= slow.events["retire"] or (
-            fast.events["retire"] > fast.events["complete"]
-        )
+        assert fast.complete < slow.complete
+        assert fast.retire >= slow.retire or fast.retire > fast.complete
 
     def test_ipc_reported(self):
         b = ProgramBuilder()
@@ -244,5 +242,5 @@ class TestPipelineInvariants:
         b.imm("r1", 1)
         b.fence()
         b.addi("r2", "r1", 1)
-        core = run_core(b.build(), trace=True)
+        core = run_core(b.build())
         assert core.regfile["r2"] == 2

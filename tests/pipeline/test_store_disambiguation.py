@@ -5,16 +5,17 @@ import pytest
 from repro.isa import ProgramBuilder
 from repro.memory.hierarchy import CacheHierarchy
 from repro.pipeline import Core
-from repro.pipeline.dyninstr import Phase
+from repro.trace import Tracer, install_tracer
 
-from tests.conftest import small_hierarchy_config
+from tests.conftest import first_l1d_lookup, rows_named, small_hierarchy_config
 
 
 def run(program):
     hierarchy = CacheHierarchy(1, small_hierarchy_config())
     for slot in range(len(program)):
         hierarchy.l1i[0].fill(program.address_of_slot(slot) & ~63)
-    core = Core(0, program, hierarchy, trace=True)
+    core = Core(0, program, hierarchy)
+    install_tracer(Tracer(), core=core)
     core.run(max_cycles=100_000)
     return core
 
@@ -28,10 +29,10 @@ class TestStoreAddressResolution:
         b.store((), lambda: 0x2000, "v", name="const-addr store")
         b.load_addr("x", 0x3000, name="independent load")
         core = run(b.build())
-        load = next(i for i in core.trace if i.name == "independent load")
-        store = next(i for i in core.trace if i.name == "const-addr store")
+        load_start = first_l1d_lookup(core.tracer, 0x3000)
+        (store,) = rows_named(core, "const-addr store")
         # the load's memory access started long before the store's data
-        assert load.events["dcache"] < store.events["complete"]
+        assert load_start < store.complete
         assert core.hierarchy.memory.peek(0x2000) == 9
         assert core.regfile["x"] == 0
 

@@ -3,11 +3,11 @@
 import pytest
 
 from repro.isa import ProgramBuilder
+from repro.analysis.timeline import timeline_rows
 from repro.pipeline.branch import StaticTakenPredictor
-from repro.pipeline.dyninstr import Phase
 from repro.schemes import DelayOnMiss, FenceDefense, PriorityDefense
 
-from tests.conftest import run_on_scheme
+from tests.conftest import rows_named, run_on_scheme
 
 SPEC_ADDR = 0x40_0C0
 COND_ADDR = 0x48_080
@@ -30,8 +30,8 @@ class TestFenceDefense:
             b.build(), scheme, predictor=StaticTakenPredictor(True)
         )
         assert scheme.issue_blocks > 0
-        spec_loads = [i for i in core.trace if i.name == "spec load"]
-        assert all("issue" not in i.events for i in spec_loads)
+        spec_loads = rows_named(core, "spec load")
+        assert all(row.issue is None for row in spec_loads)
         assert machine.hierarchy.hit_level(0, SPEC_ADDR) == "DRAM"
 
     def test_spectre_model_allows_pre_branch_parallelism(self):
@@ -46,9 +46,9 @@ class TestFenceDefense:
         b.halt()
         machine, core = run_on_scheme(b.build(), scheme)
         issues = sorted(
-            i.events["issue"]
-            for i in core.trace
-            if i.name.startswith("op") and "issue" in i.events
+            row.issue
+            for row in timeline_rows(core, names=["op"])
+            if row.issue is not None
         )
         # at least two ops issued in the same cycle: parallelism survives
         assert len(issues) - len(set(issues)) >= 1
@@ -60,9 +60,9 @@ class TestFenceDefense:
             b.imm(f"r{i}", i, name=f"op{i}")
         machine, core = run_on_scheme(b.build(), scheme)
         issues = sorted(
-            i.events["issue"]
-            for i in core.trace
-            if i.name.startswith("op") and "issue" in i.events
+            row.issue
+            for row in timeline_rows(core, names=["op"])
+            if row.issue is not None
         )
         assert len(set(issues)) == len(issues)  # one at a time
 
@@ -108,9 +108,9 @@ class TestPriorityDefense:
             for i in range(4):
                 b.alu(f"g{i}", [], lambda: 1, latency=15, port=0, name=f"g{i}")
             machine, core = run_on_scheme(b.build(), scheme)
-            z = next(i for i in core.trace if i.name == "z")
-            f1 = next(i for i in core.trace if i.name == "f1")
-            return f1.events["issue"] - z.events["complete"]
+            (z,) = rows_named(core, "z")
+            (f1,) = rows_named(core, "f1")
+            return f1.issue - z.complete
 
         baseline_gap = gap(DelayOnMiss("nontso"))
         defended_gap = gap(PriorityDefense(DelayOnMiss("nontso")))

@@ -18,9 +18,10 @@ from repro.core.victims import (
 from repro.isa import Interpreter, ProgramBuilder
 from repro.pipeline.branch import StaticTakenPredictor
 from repro.schemes import STT
+from repro.trace import Tracer
 from repro.workloads import random_program
 
-from tests.conftest import run_on_scheme
+from tests.conftest import rows_named, run_on_scheme
 
 
 class TestTaintMechanics:
@@ -47,12 +48,16 @@ class TestTaintMechanics:
         # well inside the speculative window
         machine.warm_data(0, [0x40_0C0], level="L1")
         core = machine.attach(
-            0, program, scheme, predictor=StaticTakenPredictor(True), trace=True
+            0,
+            program,
+            scheme,
+            predictor=StaticTakenPredictor(True),
+            tracer=Tracer(),
         )
         machine.run(until=lambda: core.halted, max_cycles=100_000)
         assert scheme.blocked_issues > 0
-        transmits = [i for i in core.trace if i.name == "transmit"]
-        assert all("issue" not in i.events for i in transmits)
+        transmits = rows_named(core, "transmit")
+        assert all(row.issue is None for row in transmits)
 
     def test_taint_clears_when_root_safe(self):
         """On the correct path the root becomes safe, the transmitter

@@ -1,19 +1,18 @@
-"""The trace-driven timeline must reproduce the legacy bookkeeping's
-rows exactly, for every Figure 3/4/5 scenario."""
+"""Timeline rows come from the structured trace alone, for every
+Figure 3/4/5 scenario and every accepted source."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.analysis.timeline import (
-    _rows_from_instrs,
     render_timeline,
     rows_from_events,
     timeline_rows,
 )
 from repro.core.harness import run_victim_trial
 from repro.core.victims import victim_by_name
-from repro.trace import Tracer
+from repro.trace import EventKind, Tracer
 
 SCENARIOS = [
     ("gdnpeu", "dom-nontso"),
@@ -23,20 +22,23 @@ SCENARIOS = [
 
 
 def _traced(victim, scheme, secret):
-    # trace=True keeps the legacy core.trace list AND installs a
-    # structured tracer, so both row sources exist for the same run.
     return run_victim_trial(
-        victim_by_name(victim), scheme, secret, trace=True
+        victim_by_name(victim), scheme, secret, tracer=Tracer()
     )
 
 
 @pytest.mark.parametrize("victim,scheme", SCENARIOS)
 @pytest.mark.parametrize("secret", (0, 1))
-def test_event_rows_match_legacy_rows(victim, scheme, secret):
-    result = _traced(victim, scheme, secret)
-    from_events = rows_from_events(result.events)
-    legacy = _rows_from_instrs(result.core.trace)
-    assert from_events == legacy
+def test_rows_cover_the_rob_population(victim, scheme, secret):
+    """One row per instruction that reached the ROB: every commit, plus
+    every squash of a dispatched instruction."""
+    events = _traced(victim, scheme, secret).events
+    seqs = {kind: {e.seq for e in events if e.kind is kind} for kind in EventKind}
+    committed = seqs[EventKind.COMMIT]
+    squashed = (seqs[EventKind.SQUASH] & seqs[EventKind.DISPATCH]) - committed
+    rows = rows_from_events(events)
+    assert [r.seq for r in rows] == sorted(committed | squashed)
+    assert {r.seq for r in rows if r.squashed} == squashed
 
 
 def test_timeline_rows_prefers_tracer_on_core():
@@ -72,10 +74,15 @@ def test_render_from_event_rows():
 
 
 def test_squashed_rows_require_dispatch():
-    # Fetch-queue squashes never reached the ROB and must not appear,
-    # matching the legacy core.trace population.
+    # Fetch-queue squashes never reached the ROB and must not appear.
     result = _traced("gdnpeu", "dom-nontso", 1)
     rows = rows_from_events(result.events)
     for row in rows:
         if row.squashed:
             assert row.dispatch is not None
+
+
+def test_timeline_rows_without_tracer_raises():
+    result = run_victim_trial(victim_by_name("gdnpeu"), "dom-nontso", 1)
+    with pytest.raises(ValueError, match=r"tracer=Tracer\(\)"):
+        timeline_rows(result.core)
