@@ -8,8 +8,8 @@ soundness story (per-op comparison + divergence ejection) and
 ``docs/API.md`` for usage.
 
 numpy is an optional extra (``pip install repro[batch]``); without it
-:func:`plan_batch_groups` plans nothing and sweeps fall back to the
-scalar fork/cold layers.
+:func:`plan_batch_groups_report` tallies every spec as
+``bypass.no_numpy`` and sweeps run it on the scalar fork/cold layers.
 """
 
 from repro.batch._numpy import HAVE_NUMPY, require_numpy
@@ -18,7 +18,6 @@ from repro.batch.engine import (
     BatchMirrorError,
     CohortRun,
     LockstepMirror,
-    run_batch_group,
     run_batch_group_detailed,
 )
 from repro.batch.plan import (
@@ -27,7 +26,6 @@ from repro.batch.plan import (
     batch_eligible,
     effective_dram_jitter,
     group_key,
-    plan_batch_groups,
     plan_batch_groups_report,
     stream_dependent,
 )
@@ -47,10 +45,8 @@ __all__ = [
     "batch_eligible",
     "effective_dram_jitter",
     "group_key",
-    "plan_batch_groups",
     "plan_batch_groups_report",
     "require_numpy",
-    "run_batch_group",
     "run_batch_group_detailed",
     "stream_dependent",
 ]

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import bisect
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.batch._numpy import np, require_numpy
@@ -47,7 +47,7 @@ from repro.batch.ops import (
 from repro.batch.state import BatchState
 from repro.memory.coherence import CoherenceState
 from repro.memory.hierarchy import AccessKind, VisibleAccess
-from repro.runner.spec import TrialOutcome, TrialSpec, TrialStatus, TrialSummary
+from repro.runner.spec import TrialOutcome, TrialSpec, TrialSummary
 from repro.trace.events import CACHE_KINDS, EventKind, TraceEvent
 
 _CACHE_KIND_SET = frozenset(CACHE_KINDS)
@@ -789,32 +789,18 @@ class BatchGroupReport:
         return sum(len(c.diverged) for c in self.cohorts)
 
 
-def run_batch_group(
-    specs: Sequence[TrialSpec],
-) -> Optional[List[TrialOutcome]]:
-    """Execute one batch group; outcomes align with ``specs``.
-
-    Returns None when the group cannot be batched at all (mirror bug,
-    setup failure) — the caller falls back to the fork/cold layers.
-    Per-lane divergences never fail the group: the diverged spec is
-    re-run cold inside, exactly like a failed fork variant.
-    """
-    try:
-        return run_batch_group_detailed(list(specs)).outcomes
-    except KeyboardInterrupt:
-        raise
-    except Exception:
-        return None
-
-
 def run_batch_group_detailed(
     specs: Sequence[TrialSpec], *, with_traces: bool = False
 ) -> BatchGroupReport:
-    """As :func:`run_batch_group`, but returning per-cohort diagnostics
-    (ejections, per-lane traces) and raising on group-level failures."""
-    from repro.batch.plan import stream_dependent
+    """Execute one batch group; outcomes align with ``specs``.
+
+    Returns per-cohort diagnostics (ejections, per-lane traces) and
+    raises on group-level failures (mirror bug, setup failure) — the
+    runner then falls back to the fork/cold layers.  Per-lane
+    divergences never fail the group: the diverged spec is re-run cold
+    inside, exactly like a failed fork variant."""
     from repro.core.victims import victim_by_name
-    from repro.runner.runner import run_trial_outcome
+    from repro.runner.runner import ok_outcome, run_trial_outcome, stream_dependent
 
     specs = list(specs)
     victim = victim_by_name(specs[0].victim, **dict(specs[0].victim_kwargs))
@@ -871,20 +857,7 @@ def run_batch_group_detailed(
             # Ejected / failed lane: the cold path is authoritative.
             outcomes.append(run_trial_outcome(spec, plan=None))
             continue
-        if summary.secret != spec.secret or summary.seed != spec.seed:
-            summary = replace(summary, secret=spec.secret, seed=spec.seed)
-        outcomes.append(
-            TrialOutcome(
-                digest=spec.digest(),
-                victim=spec.victim,
-                scheme=spec.scheme,
-                secret=spec.secret,
-                seed=spec.seed,
-                status=TrialStatus.OK,
-                attempts=1,
-                summary=summary,
-            )
-        )
+        outcomes.append(ok_outcome(spec, summary))
     return BatchGroupReport(outcomes=outcomes, cohorts=cohort_runs)
 
 
@@ -936,13 +909,13 @@ def _run_cohort(
     lane_specs: List[TrialSpec],
     with_traces: bool,
 ) -> CohortRun:
-    from repro.core.harness import (
-        ATTACKER_CORE,
-        LINE,
-        begin_victim_trial,
-        finish_victim_trial,
+    from repro.core.harness import ATTACKER_CORE, LINE, finish_victim_trial
+    from repro.runner.runner import (
+        begin_spec_trial,
+        metrics_tracer,
+        stage_events,
+        summarize_trial,
     )
-    from repro.snapshot.fork import _summarize
 
     leader_spec = lane_specs[0]
     tracer = None
@@ -953,23 +926,8 @@ def _run_cohort(
     elif leader_spec.collect_metrics:
         # Metrics need the per-stage latency histograms, which come from
         # a stage-filtered trace — exactly what the cold path installs.
-        from repro.trace import Tracer
-        from repro.trace.events import STAGE_KINDS
-
-        tracer = Tracer(kinds=STAGE_KINDS)
-    setup = begin_victim_trial(
-        victim,
-        leader_spec.scheme,
-        leader_spec.secret,
-        hierarchy_config=leader_spec.hierarchy_config,
-        reference_accesses=leader_spec.reference_accesses,
-        noise_rate=leader_spec.noise_rate,
-        noise_pool=leader_spec.noise_pool,
-        seed=leader_spec.seed,
-        max_cycles=leader_spec.max_cycles,
-        tracer=tracer,
-        extra_lines=leader_spec.extra_lines,
-    )
+        tracer = metrics_tracer()
+    setup = begin_spec_trial(leader_spec, victim, tracer=tracer)
     machine = setup.machine
     hierarchy = machine.hierarchy
     # All lanes start from the leader's prepared state: within a cohort
@@ -1005,7 +963,7 @@ def _run_cohort(
         probe_latencies = mirror.run_probe(leader_spec.probe_accesses)
 
     summaries: Dict[int, TrialSummary] = {
-        0: _summarize(
+        0: summarize_trial(
             leader_spec,
             victim,
             result,
@@ -1014,14 +972,9 @@ def _run_cohort(
     }
     horizon = machine.cycle
     retired = result.core.stats.retired
-    stage_events = None
+    leader_stage_events = None
     if leader_spec.collect_metrics:
-        from repro.trace.events import STAGE_KINDS
-
-        stage = frozenset(STAGE_KINDS)
-        stage_events = [
-            e for e in machine.tracer.events if e.kind in stage
-        ]
+        leader_stage_events = stage_events(machine.tracer)
     for k, spec in enumerate(lane_specs):
         if k == 0 or not mirror.active[k]:
             continue
@@ -1039,7 +992,7 @@ def _run_cohort(
         metrics = None
         if spec.collect_metrics:
             metrics = _lane_metrics(
-                machine, state, k, horizon, stage_events
+                machine, state, k, horizon, leader_stage_events
             )
         summaries[k] = TrialSummary(
             victim=spec.victim,

@@ -23,6 +23,16 @@ from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.batch._numpy import HAVE_NUMPY
+# The batch API re-exports the predicates and reasons it shares with
+# the fork planner.
+from repro.runner.runner import (
+    BYPASS_SANITIZE,  # noqa: F401
+    BYPASS_SNAPSHOT,  # noqa: F401
+    effective_dram_jitter,  # noqa: F401
+    own_machine_reason,
+    partition_specs,
+    stream_dependent,
+)
 from repro.runner.spec import TrialSpec
 
 #: Minimum lanes (distinct reference schedules) worth a mirror: a group
@@ -30,45 +40,18 @@ from repro.runner.spec import TrialSpec
 #: strictly cheaper than mirroring.
 MIN_LANES = 2
 
-#: Bypass-reason keys surfaced as ``sweep.batch.bypass.*`` counters.
+#: Bypass-reason keys surfaced as ``sweep.batch.bypass.*`` counters
+#: (sanitize and snapshot are shared with the fork planner).
 BYPASS_NO_NUMPY = "no_numpy"
-BYPASS_SANITIZE = "sanitize"
-BYPASS_SNAPSHOT = "snapshot"
 BYPASS_MIN_LANES = "min_lanes"
 BYPASS_FAULTS = "faults"
-
-
-def effective_dram_jitter(spec: TrialSpec) -> int:
-    """The DRAM jitter this spec will actually run with.
-
-    ``hierarchy_config=None`` means the runner builds the module-level
-    default (``repro.core.victims.ATTACK_HIERARCHY``); this probe makes
-    that fallback explicit so a future change to the default hierarchy
-    cannot silently flip stream handling.
-    """
-    if spec.hierarchy_config is not None:
-        return spec.hierarchy_config.dram_jitter
-    from repro.core.victims import ATTACK_HIERARCHY
-
-    return ATTACK_HIERARCHY.dram_jitter
-
-
-def stream_dependent(spec: TrialSpec) -> bool:
-    """True when trial behaviour consumes the counter RNG streams
-    (DRAM jitter or noise injection) — such specs share a cohort only
-    with same-seed specs, and their seeds cannot be relabeled."""
-    return spec.noise_rate > 0.0 or effective_dram_jitter(spec) > 0
 
 
 def batch_bypass_reason(spec: TrialSpec) -> Optional[str]:
     """Why this spec cannot batch, or None when it is eligible."""
     if not HAVE_NUMPY:
         return BYPASS_NO_NUMPY
-    if spec.sanitize:
-        return BYPASS_SANITIZE
-    if spec.snapshot_dir is not None:
-        return BYPASS_SNAPSHOT
-    return None
+    return own_machine_reason(spec)
 
 
 def batch_eligible(spec: TrialSpec) -> bool:
@@ -102,49 +85,22 @@ def plan_batch_groups_report(
     share lanes there); everything else flows to the fork/cold layers,
     with the reason tallied in the returned mapping.
     """
-    buckets: Dict[str, List[int]] = {}
-    passthrough: List[int] = []
-    bypassed: Dict[str, int] = {}
-    for i, spec in enumerate(specs):
-        reason = batch_bypass_reason(spec)
-        if reason is not None:
-            bypassed[reason] = bypassed.get(reason, 0) + 1
-            passthrough.append(i)
-            continue
-        buckets.setdefault(group_key(spec), []).append(i)
-    groups: List[List[int]] = []
-    for indices in buckets.values():
-        if _worth_mirroring(specs, indices):
-            groups.append(indices)
-        else:
-            bypassed[BYPASS_MIN_LANES] = bypassed.get(BYPASS_MIN_LANES, 0) + len(
-                indices
-            )
-            passthrough.extend(indices)
-    passthrough.sort()
-    return groups, passthrough, bypassed
+    return partition_specs(
+        specs, group_key, batch_bypass_reason, _worth_mirroring, BYPASS_MIN_LANES
+    )
 
 
-def _worth_mirroring(specs: Sequence[TrialSpec], indices: List[int]) -> bool:
-    if len(indices) < MIN_LANES:
+def _worth_mirroring(group: List[TrialSpec]) -> bool:
+    if len(group) < MIN_LANES:
         return False
-    if stream_dependent(specs[indices[0]]):
+    if stream_dependent(group[0]):
         # Lanes can only share a cohort when they share the seed, so
         # demand enough distinct schedules inside one (secret, seed).
         cohorts: Dict[Tuple[int, int], set] = {}
-        for i in indices:
-            spec = specs[i]
+        for spec in group:
             cohorts.setdefault((spec.secret, spec.seed), set()).add(
                 tuple(spec.reference_accesses)
             )
         return max(len(s) for s in cohorts.values()) >= MIN_LANES
-    schedules = {tuple(specs[i].reference_accesses) for i in indices}
+    schedules = {tuple(spec.reference_accesses) for spec in group}
     return len(schedules) >= MIN_LANES
-
-
-def plan_batch_groups(
-    specs: Sequence[TrialSpec],
-) -> Tuple[List[List[int]], List[int]]:
-    """:func:`plan_batch_groups_report` without the bypass tally."""
-    groups, passthrough, _ = plan_batch_groups_report(specs)
-    return groups, passthrough

@@ -40,6 +40,8 @@ import os
 import random
 import time
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, ProcessPoolExecutor, wait
+from dataclasses import replace
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.pipeline.core import DeadlockError
@@ -99,33 +101,20 @@ def backoff_delay(round_no: int, *, rng: Optional[random.Random] = None) -> floa
 _PLAN_UNSET = object()
 
 
-def run_trial_spec(spec: TrialSpec, *, fault_injector=None) -> TrialSummary:
-    """Execute one trial from its picklable description (strict path:
-    simulator faults propagate).
+# ----------------------------------------------------------------------
+# the trial contract shared by the cold, fork and batch engines
+# ----------------------------------------------------------------------
+def begin_spec_trial(spec: TrialSpec, victim, *, tracer=None, fault_injector=None):
+    """Prepare ``spec``'s trial on ``victim`` without running it.
 
-    Module-level (picklable by reference) and self-contained: builds the
-    victim from the registry and the Machine/Core inside the calling
-    process, so it works identically in the parent and in pool workers.
+    The one mapping of :class:`TrialSpec` fields onto
+    :func:`~repro.core.harness.begin_victim_trial`: every engine (and
+    snapshot rehydration) builds its machines through here, so a new
+    spec field reaches all of them at once.
     """
-    # Imported here, not at module top: pool workers (re-)import this
-    # module before running anything, and the light import keeps worker
-    # spin-up cheap when the pool is larger than the task list.
-    from repro.core.harness import run_victim_trial
-    from repro.core.victims import victim_by_name
+    from repro.core.harness import begin_victim_trial
 
-    victim = victim_by_name(spec.victim, **dict(spec.victim_kwargs))
-    tracer = None
-    if spec.collect_metrics:
-        # Stage-filtered tracer: enough for the per-stage latency
-        # histograms, compact enough to carry through long sweeps.
-        # Tracing is observer-invariant (the differential invisibility
-        # test enforces it), so metrics collection never perturbs the
-        # trial's measurements.
-        from repro.trace import Tracer
-        from repro.trace.events import STAGE_KINDS
-
-        tracer = Tracer(kinds=STAGE_KINDS)
-    result = run_victim_trial(
+    return begin_victim_trial(
         victim,
         spec.scheme,
         spec.secret,
@@ -140,27 +129,49 @@ def run_trial_spec(spec: TrialSpec, *, fault_injector=None) -> TrialSummary:
         fault_injector=fault_injector,
         sanitize=spec.sanitize,
     )
-    if result.core is None:
-        # Explicit, not an assert: asserts vanish under ``python -O``
-        # and this invariant guards the summary below.
-        raise RuntimeError(
-            f"run_victim_trial returned no core handle for {spec.label()}"
-        )
-    probe_latencies = None
-    if spec.probe_accesses:
-        # Probe before metrics/snapshot capture: every execution path
-        # (cold, fork, batch) agrees the final state includes the probe.
+
+
+def metrics_tracer():
+    """Stage-filtered tracer for ``collect_metrics`` trials: enough for
+    the per-stage latency histograms, compact enough to carry through
+    long sweeps.  Tracing is observer-invariant (the differential
+    invisibility test enforces it), so metrics collection never
+    perturbs the trial's measurements."""
+    from repro.trace import Tracer
+    from repro.trace.events import STAGE_KINDS
+
+    return Tracer(kinds=STAGE_KINDS)
+
+
+def stage_events(tracer) -> list:
+    """``tracer``'s per-stage events, whatever else it recorded: the
+    input of the metrics' latency histograms on every engine."""
+    from repro.trace.events import STAGE_KINDS
+
+    stage = frozenset(STAGE_KINDS)
+    return [e for e in tracer.events if e.kind in stage]
+
+
+def summarize_trial(
+    spec: TrialSpec, victim, result, *, probe_latencies=None
+) -> TrialSummary:
+    """Build a finished trial's picklable summary, identically on every
+    execution path.
+
+    Runs the spec's attacker probe phase first (unless the caller
+    already ran it and passes ``probe_latencies``), so metrics and
+    snapshots capture the post-probe state on every path.
+    """
+    if spec.probe_accesses and probe_latencies is None:
         from repro.core.harness import run_probe_phase
 
-        probe_latencies = run_probe_phase(
-            result.machine, spec.probe_accesses
-        )
+        probe_latencies = run_probe_phase(result.machine, spec.probe_accesses)
     metrics = None
     if spec.collect_metrics:
         from repro.system.stats import machine_metrics
 
         metrics = machine_metrics(
-            result.machine, events=tracer.events
+            result.machine, events=stage_events(result.machine.tracer)
         ).to_json()
     snapshot_path = None
     if spec.snapshot_dir is not None:
@@ -186,6 +197,127 @@ def run_trial_spec(spec: TrialSpec, *, fault_injector=None) -> TrialSummary:
     )
 
 
+def ok_outcome(
+    spec: TrialSpec, summary: TrialSummary, attempt: int = 0
+) -> TrialOutcome:
+    """The successful outcome of ``spec``.  A summary computed for
+    another secret/seed (fork and batch relabeling: the simulated
+    outcome is provably identical) is relabeled to ``spec``'s."""
+    if summary.secret != spec.secret or summary.seed != spec.seed:
+        summary = replace(summary, secret=spec.secret, seed=spec.seed)
+    return TrialOutcome(
+        digest=spec.digest(),
+        victim=spec.victim,
+        scheme=spec.scheme,
+        secret=spec.secret,
+        seed=spec.seed,
+        status=TrialStatus.OK,
+        attempts=attempt + 1,
+        summary=summary,
+    )
+
+
+def effective_dram_jitter(spec: TrialSpec) -> int:
+    """The DRAM jitter this spec will actually run with.
+
+    ``hierarchy_config=None`` means the runner builds the module-level
+    default (``repro.core.victims.ATTACK_HIERARCHY``); this probe makes
+    that fallback explicit so a future change to the default hierarchy
+    cannot silently flip stream handling.
+    """
+    if spec.hierarchy_config is not None:
+        return spec.hierarchy_config.dram_jitter
+    from repro.core.victims import ATTACK_HIERARCHY
+
+    return ATTACK_HIERARCHY.dram_jitter
+
+
+def stream_dependent(spec: TrialSpec) -> bool:
+    """True when trial behaviour consumes the counter RNG streams (DRAM
+    jitter or noise injection), i.e. when the seed is live: such specs
+    share a fork group or batch cohort only with same-seed specs, and
+    their seeds cannot be relabeled."""
+    return spec.noise_rate > 0.0 or effective_dram_jitter(spec) > 0
+
+
+#: Bypass reasons every group engine shares (``sweep.batch.bypass.*``).
+BYPASS_SANITIZE = "sanitize"
+BYPASS_SNAPSHOT = "snapshot"
+
+
+def own_machine_reason(spec: TrialSpec) -> Optional[str]:
+    """Why ``spec`` must run on its own cold machine under every group
+    engine, or None.  Sanitized trials install per-instance hook
+    wrappers on the core and scheme; a snapshot handle must be the
+    spec's own end-of-trial machine, which a relabeled or mirrored
+    variant does not have."""
+    if spec.sanitize:
+        return BYPASS_SANITIZE
+    if spec.snapshot_dir is not None:
+        return BYPASS_SNAPSHOT
+    return None
+
+
+def partition_specs(
+    specs: Sequence[TrialSpec],
+    key: Callable[[TrialSpec], str],
+    bypass_reason: Callable[[TrialSpec], Optional[str]],
+    worth: Callable[[List[TrialSpec]], bool],
+    undersized: str,
+) -> Tuple[List[List[int]], List[int], Dict[str, int]]:
+    """The bucketing pass shared by the fork and batch planners.
+
+    Specs with a ``bypass_reason`` pass through; the rest bucket by
+    ``key``, and buckets ``worth`` rejects pass through as
+    ``undersized``.  Returns ``(groups, passthrough, bypassed)``:
+    index groups in spec order, the sorted passthrough indices, and
+    per-reason passthrough counts.
+    """
+    buckets: Dict[str, List[int]] = {}
+    passthrough: List[int] = []
+    bypassed: Dict[str, int] = {}
+    for i, spec in enumerate(specs):
+        reason = bypass_reason(spec)
+        if reason is not None:
+            bypassed[reason] = bypassed.get(reason, 0) + 1
+            passthrough.append(i)
+            continue
+        buckets.setdefault(key(spec), []).append(i)
+    groups: List[List[int]] = []
+    for indices in buckets.values():
+        if worth([specs[i] for i in indices]):
+            groups.append(indices)
+        else:
+            bypassed[undersized] = bypassed.get(undersized, 0) + len(indices)
+            passthrough.extend(indices)
+    passthrough.sort()
+    return groups, passthrough, bypassed
+
+
+def run_trial_spec(spec: TrialSpec, *, fault_injector=None) -> TrialSummary:
+    """Execute one trial from its picklable description (strict path:
+    simulator faults propagate).
+
+    Module-level (picklable by reference) and self-contained: builds the
+    victim from the registry and the Machine/Core inside the calling
+    process, so it works identically in the parent and in pool workers.
+    """
+    # Imported here, not at module top: pool workers (re-)import this
+    # module before running anything, and the light import keeps worker
+    # spin-up cheap when the pool is larger than the task list.
+    from repro.core.harness import finish_victim_trial
+    from repro.core.victims import victim_by_name
+
+    victim = victim_by_name(spec.victim, **dict(spec.victim_kwargs))
+    tracer = metrics_tracer() if spec.collect_metrics else None
+    result = finish_victim_trial(
+        begin_spec_trial(
+            spec, victim, tracer=tracer, fault_injector=fault_injector
+        )
+    )
+    return summarize_trial(spec, victim, result)
+
+
 def run_trial_outcome(
     spec: TrialSpec, attempt: int = 0, plan=_PLAN_UNSET
 ) -> TrialOutcome:
@@ -206,16 +338,7 @@ def run_trial_outcome(
         summary = run_trial_spec(
             spec, fault_injector=faults.injector_for(fault)
         )
-        return TrialOutcome(
-            digest=spec.digest(),
-            victim=spec.victim,
-            scheme=spec.scheme,
-            secret=spec.secret,
-            seed=spec.seed,
-            status=TrialStatus.OK,
-            attempts=attempt + 1,
-            summary=summary,
-        )
+        return ok_outcome(spec, summary, attempt)
     except faults.WorkerKilled as exc:
         return _failure_outcome(spec, TrialStatus.WORKER_LOST, exc, attempt)
     except DeadlockError as exc:
@@ -305,35 +428,31 @@ def _run_chunk_outcomes(
     return outcomes
 
 
-def _run_fork_group_outcomes(specs: List[TrialSpec]):
-    """Pool-dispatchable fork-group body (module-level, picklable by
-    reference).  Returns aligned outcomes, or None when the group must
-    fall back to cold execution."""
-    from repro.snapshot.fork import run_fork_group
+def _run_group(engine: str, specs: List[TrialSpec]):
+    """Pool-dispatchable group body (module-level, picklable by
+    reference; bind ``engine`` with :func:`functools.partial`).
 
-    outcomes = run_fork_group(specs)
-    if outcomes is not None:
-        for outcome in outcomes:
-            _check_lean_transport(outcome)
-    return outcomes
+    Returns ``(outcomes, ejected_lane_count)`` — outcomes aligned with
+    ``specs``, or ``(None, 0)`` when the group falls back to the layers
+    below.  The engine entry points are looked up at call time."""
+    ejected = 0
+    if engine == "fork":
+        from repro.snapshot.fork import run_fork_group
 
+        outcomes = run_fork_group(specs)
+    else:
+        from repro.batch.engine import run_batch_group_detailed
 
-def _run_batch_group_outcomes(specs: List[TrialSpec]):
-    """Pool-dispatchable batch-group body (module-level, picklable by
-    reference).  Returns ``(outcomes, ejected_lane_count)`` — outcomes
-    aligned with ``specs``, or ``(None, 0)`` when the group must fall
-    back to the fork/cold layers."""
-    from repro.batch.engine import run_batch_group_detailed
-
-    try:
-        report = run_batch_group_detailed(specs)
-    except KeyboardInterrupt:
-        raise
-    except Exception:
-        return None, 0
-    for outcome in report.outcomes:
+        try:
+            report = run_batch_group_detailed(specs)
+        except KeyboardInterrupt:
+            raise
+        except Exception:
+            return None, 0
+        outcomes, ejected = report.outcomes, report.ejected
+    for outcome in outcomes or ():
         _check_lean_transport(outcome)
-    return report.outcomes, report.ejected
+    return outcomes, ejected
 
 
 class SweepRunner:
@@ -349,7 +468,8 @@ class SweepRunner:
     fork: bool = False
     #: Batched lockstep execution (:mod:`repro.batch`): trials differing
     #: only in secret/seed/reference schedule step as SoA lanes of one
-    #: leader run per secret.  Requires numpy; silently inert without it.
+    #: leader run per secret.  Requires numpy: without it every spec is
+    #: tallied as ``bypass.no_numpy`` and runs on the fork/cold layers.
     batch: bool = False
     #: Content-addressed trial cache directory
     #: (:class:`repro.runner.cache.TrialCache`); None disables caching.
@@ -421,21 +541,33 @@ class SweepRunner:
                     cached.add(i)
         _merge_journal(specs, outcomes, journal)
         if self.batch:
-            if self._batch_stats is None:
-                self._batch_stats = {}
+            from repro.batch.plan import BYPASS_FAULTS, plan_batch_groups_report
+
+            tally: Dict[str, int] = {}
             if faults.current_plan() is None:
-                self._run_batch_groups(specs, outcomes, journal)
+                (_, _, bypassed), results = self._run_groups(
+                    "batch", plan_batch_groups_report, specs, outcomes, journal
+                )
+                tally = {f"bypass.{reason}": n for reason, n in bypassed.items()}
+                for group, ejected in results:
+                    if ejected is None:
+                        # Group failed wholesale; falls through to fork/cold.
+                        tally["failed"] = tally.get("failed", 0) + len(group)
+                        continue
+                    tally["batched"] = tally.get("batched", 0) + len(group)
+                    tally["ejected"] = tally.get("ejected", 0) + ejected
             else:
                 # An active fault plan disables the mirror wholesale
                 # (injected faults must land on real per-spec machines);
                 # account for it like any other bypass.
-                from repro.batch.plan import BYPASS_FAULTS
-
                 pending = sum(1 for o in outcomes if o is None)
                 if pending:
-                    self._tally_batch({f"bypass.{BYPASS_FAULTS}": pending})
+                    tally[f"bypass.{BYPASS_FAULTS}"] = pending
+            self._tally_batch(tally)
         if self.fork and faults.current_plan() is None:
-            self._run_fork_groups(specs, outcomes, journal)
+            from repro.snapshot.fork import plan_fork_groups
+
+            self._run_groups("fork", plan_fork_groups, specs, outcomes, journal)
         rest = [i for i in range(len(specs)) if outcomes[i] is None]
         if rest:
             for i, outcome in zip(
@@ -457,95 +589,50 @@ class SweepRunner:
         for name, value in counts.items():
             self._batch_stats[name] = self._batch_stats.get(name, 0) + value
 
-    def _run_batch_groups(
+    def _run_groups(
         self,
+        engine: str,
+        plan: Callable,
         specs: List[TrialSpec],
         outcomes: List[Optional[TrialOutcome]],
         journal: Optional[TrialJournal],
-    ) -> None:
-        """Fill ``outcomes`` slots via batched lockstep execution where
-        it applies; anything it cannot cover (ineligible specs, groups
-        without enough distinct reference schedules, a failed group)
-        stays None for the fork/cold layers.  Planning bypasses, group
-        failures, batched spec counts and lane ejections are tallied
-        into :attr:`_batch_stats`."""
-        from repro.batch.plan import plan_batch_groups_report
+    ) -> Tuple[tuple, List[Tuple[List[int], Optional[int]]]]:
+        """Plan the still-unresolved specs with ``plan`` and run each
+        group through ``engine`` (``"fork"`` or ``"batch"``), filling and
+        journaling the slots it covers; everything else stays None for
+        the layers below.
 
+        Returns ``(planned, results)``: the planner's own return value,
+        and per group ``(spec indices, ejected lanes)``, with None
+        lanes for a group that fell back."""
         pending = [i for i in range(len(specs)) if outcomes[i] is None]
-        groups, _, bypassed = plan_batch_groups_report(
-            [specs[i] for i in pending]
-        )
-        self._tally_batch(
-            {f"bypass.{reason}": n for reason, n in bypassed.items()}
-        )
-        group_indices = [[pending[j] for j in group] for group in groups]
-        if not group_indices:
-            return
+        planned = plan([specs[i] for i in pending])
+        groups = [[pending[j] for j in group] for group in planned[0]]
+        if not groups:
+            return planned, []
         try:
             results = self.map(
-                _run_batch_group_outcomes,
-                [[specs[i] for i in group] for group in group_indices],
+                partial(_run_group, engine),
+                [[specs[i] for i in group] for group in groups],
             )
         except KeyboardInterrupt:
             raise
         except Exception:
-            # Pool-level failure: the fork/cold layers below re-run
-            # everything with their own fault tolerance.
-            results = [(None, 0)] * len(group_indices)
-            reset = getattr(self, "_reset_pool", None)
-            if reset is not None:
-                reset()
-        tally: Dict[str, int] = {}
-        for group, (group_outcomes, ejected) in zip(group_indices, results):
-            if group_outcomes is None:
-                # Group failed wholesale; falls through to fork/cold.
-                tally["failed"] = tally.get("failed", 0) + len(group)
-                continue
-            tally["batched"] = tally.get("batched", 0) + len(group)
-            tally["ejected"] = tally.get("ejected", 0) + ejected
-            for i, outcome in zip(group, group_outcomes):
+            # Pool-level failure (e.g. a lost worker): the layers below
+            # re-run everything with their own fault tolerance.
+            results = [(None, 0)] * len(groups)
+            self._reset_pool()
+        done: List[Tuple[List[int], Optional[int]]] = []
+        for group, (group_outcomes, ejected) in zip(groups, results):
+            done.append((group, None if group_outcomes is None else ejected))
+            for i, outcome in zip(group, group_outcomes or ()):
                 outcomes[i] = outcome
                 if journal is not None and journal.should_record(outcome):
                     journal.record(outcome)
-        self._tally_batch(tally)
+        return planned, done
 
-    def _run_fork_groups(
-        self,
-        specs: List[TrialSpec],
-        outcomes: List[Optional[TrialOutcome]],
-        journal: Optional[TrialJournal],
-    ) -> None:
-        """Fill ``outcomes`` slots via fork-group execution where it
-        applies; anything it cannot (or fails to) cover stays None for
-        the cold path."""
-        from repro.snapshot.fork import plan_fork_groups
-
-        pending = [i for i in range(len(specs)) if outcomes[i] is None]
-        groups, _ = plan_fork_groups([specs[i] for i in pending])
-        group_indices = [[pending[j] for j in group] for group in groups]
-        if not group_indices:
-            return
-        try:
-            results = self.map(
-                _run_fork_group_outcomes,
-                [[specs[i] for i in group] for group in group_indices],
-            )
-        except KeyboardInterrupt:
-            raise
-        except Exception:
-            # Pool-level failure (e.g. a lost worker): the cold path
-            # below re-runs everything with its own fault tolerance.
-            results = [None] * len(group_indices)
-            reset = getattr(self, "_reset_pool", None)
-            if reset is not None:
-                reset()
-        for group, group_outcomes in zip(group_indices, results):
-            if group_outcomes is None:
-                continue  # probe failed; group falls back to cold
-            for i, outcome in zip(group, group_outcomes):
-                outcomes[i] = outcome
-                if journal is not None and journal.should_record(outcome):
-                    journal.record(outcome)
+    def _reset_pool(self) -> None:
+        """Replace a broken worker pool (no-op without one)."""
 
     def run(
         self,

@@ -18,7 +18,6 @@ from repro.snapshot.fork import (
     group_key,
     plan_fork_groups,
     run_fork_group,
-    seed_is_inert,
 )
 from repro.snapshot.handle import (
     SnapshotSchemaError,
@@ -35,7 +34,6 @@ __all__ = [
     "plan_fork_groups",
     "run_fork_group",
     "group_key",
-    "seed_is_inert",
     "save_snapshot",
     "save_trial_snapshot",
     "load_snapshot",

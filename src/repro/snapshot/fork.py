@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.runner.spec import TrialOutcome, TrialSpec, TrialStatus, TrialSummary
+from repro.runner.spec import TrialOutcome, TrialSpec, TrialSummary
 
 #: Cycles between rolling checkpoints during the probe run; bounds the
 #: replay needed to land exactly on the fork point.
@@ -44,22 +44,23 @@ CHECKPOINT_INTERVAL = 64
 MIN_GROUP = 2
 
 
-def seed_is_inert(spec: TrialSpec) -> bool:
-    """True when the trial seed provably cannot affect the outcome."""
-    if spec.noise_rate > 0.0:
-        return False
-    if spec.hierarchy_config is not None:
-        return spec.hierarchy_config.dram_jitter == 0
-    from repro.core.victims import ATTACK_HIERARCHY
-
-    return ATTACK_HIERARCHY.dram_jitter == 0
-
-
 def group_key(spec: TrialSpec) -> str:
     """Digest of the spec with the forkable dimensions normalized out."""
-    if seed_is_inert(spec):
+    from repro.runner.runner import stream_dependent
+
+    if not stream_dependent(spec):
         return "inert:" + replace(spec, secret=0, seed=0).digest()
     return "seeded:" + replace(spec, secret=0).digest()
+
+
+def _fork_bypass_reason(spec: TrialSpec) -> Optional[str]:
+    from repro.runner.runner import own_machine_reason
+
+    if spec.noise_rate > 0.0:
+        # The NoiseInjector's private RNG lives outside the machine
+        # snapshot, so a restored variant could not replay it.
+        return "noise"
+    return own_machine_reason(spec)
 
 
 def plan_fork_groups(
@@ -70,26 +71,17 @@ def plan_fork_groups(
     Returns ``(groups, passthrough)``: each group is a list of indices
     (probe first, in spec order) whose specs differ only in the
     forkable dimensions; ``passthrough`` indices run on the cold path
-    (sanitized trials, singleton groups).
+    (noisy, sanitized and snapshotting trials, singleton groups).
     """
-    buckets: Dict[str, List[int]] = {}
-    passthrough: List[int] = []
-    for i, spec in enumerate(specs):
-        if spec.sanitize or spec.noise_rate > 0.0:
-            # Sanitized trials install per-instance hook wrappers on
-            # the core and scheme; noisy trials drive a NoiseInjector
-            # whose private RNG lives outside the machine snapshot.
-            # Both stay on the cold path.
-            passthrough.append(i)
-            continue
-        buckets.setdefault(group_key(spec), []).append(i)
-    groups: List[List[int]] = []
-    for indices in buckets.values():
-        if len(indices) >= MIN_GROUP:
-            groups.append(indices)
-        else:
-            passthrough.extend(indices)
-    passthrough.sort()
+    from repro.runner.runner import partition_specs
+
+    groups, passthrough, _ = partition_specs(
+        specs,
+        group_key,
+        _fork_bypass_reason,
+        lambda group: len(group) >= MIN_GROUP,
+        "singleton",
+    )
     return groups, passthrough
 
 
@@ -114,7 +106,12 @@ def run_fork_group(specs: Sequence[TrialSpec]) -> Optional[List[TrialOutcome]]:
 
 def _run_fork_group(specs: List[TrialSpec]) -> List[TrialOutcome]:
     from repro.core.victims import victim_by_name
-    from repro.runner.runner import run_trial_outcome
+    from repro.runner.runner import (
+        begin_spec_trial,
+        ok_outcome,
+        run_trial_outcome,
+        summarize_trial,
+    )
     from repro.trace import Tracer
     from repro.trace.events import CACHE_KINDS, STAGE_KINDS
 
@@ -122,7 +119,7 @@ def _run_fork_group(specs: List[TrialSpec]) -> List[TrialOutcome]:
     victim = victim_by_name(probe.victim, **dict(probe.victim_kwargs))
     kinds = CACHE_KINDS + STAGE_KINDS if probe.collect_metrics else CACHE_KINDS
     tracer = Tracer(kinds=kinds)
-    setup = _begin(probe, victim, tracer)
+    setup = begin_spec_trial(probe, victim, tracer=tracer)
     secret_line = setup.machine.hierarchy.llc.layout.line_addr(
         victim.secret_addr
     )
@@ -132,7 +129,7 @@ def _run_fork_group(specs: List[TrialSpec]) -> List[TrialOutcome]:
     # the capture/replay landed the machine exactly there).
     probe_result = _finish(setup, fork_cycle)
     summaries: Dict[Tuple[int, int], TrialSummary] = {
-        (probe.secret, probe.seed): _summarize(probe, victim, probe_result)
+        (probe.secret, probe.seed): summarize_trial(probe, victim, probe_result)
     }
 
     outcomes: List[Optional[TrialOutcome]] = [None] * len(specs)
@@ -159,43 +156,8 @@ def _run_fork_group(specs: List[TrialSpec]) -> List[TrialOutcome]:
                     continue
                 summaries[(spec.secret, spec.seed)] = base
             computed = base
-        if computed.secret != spec.secret or computed.seed != spec.seed:
-            # Seed (and, for never-sampled secrets, secret) relabeling:
-            # the simulated outcome is provably identical, only the
-            # identity label differs.
-            computed = replace(
-                computed, secret=spec.secret, seed=spec.seed
-            )
-            summaries[(spec.secret, spec.seed)] = computed
-        outcomes[i] = TrialOutcome(
-            digest=spec.digest(),
-            victim=spec.victim,
-            scheme=spec.scheme,
-            secret=spec.secret,
-            seed=spec.seed,
-            status=TrialStatus.OK,
-            attempts=1,
-            summary=computed,
-        )
+        outcomes[i] = ok_outcome(spec, computed)
     return outcomes  # type: ignore[return-value]
-
-
-def _begin(spec: TrialSpec, victim, tracer):
-    from repro.core.harness import begin_victim_trial
-
-    return begin_victim_trial(
-        victim,
-        spec.scheme,
-        spec.secret,
-        hierarchy_config=spec.hierarchy_config,
-        reference_accesses=spec.reference_accesses,
-        noise_rate=spec.noise_rate,
-        noise_pool=spec.noise_pool,
-        seed=spec.seed,
-        max_cycles=spec.max_cycles,
-        tracer=tracer,
-        extra_lines=spec.extra_lines,
-    )
 
 
 def _probe_to_fork_point(setup, secret_line: int):
@@ -261,6 +223,8 @@ def _finish(setup, fork_cycle: Optional[int]):
 
 def _run_variant(setup, spec: TrialSpec, victim, fork_cycle, fork_snap):
     """Restore the fork point, swap the secret in, run the suffix."""
+    from repro.runner.runner import summarize_trial
+
     try:
         machine = setup.machine
         machine.restore(fork_snap)
@@ -268,56 +232,9 @@ def _run_variant(setup, spec: TrialSpec, victim, fork_cycle, fork_snap):
         # the captured state and must not disturb access counters.
         machine.hierarchy.memory.poke(victim.secret_addr, spec.secret)
         setup.secret = spec.secret
-        result = _finish(setup, fork_cycle)
-        return _summarize(spec, victim, result)
+        return summarize_trial(spec, victim, _finish(setup, fork_cycle))
     except KeyboardInterrupt:
         raise
     except Exception:
         return None
 
-
-def _summarize(
-    spec: TrialSpec, victim, result, *, probe_latencies=None
-) -> TrialSummary:
-    """Build the picklable summary exactly as the cold path does.
-
-    Runs the spec's attacker probe phase first (unless the caller
-    already ran it and passes ``probe_latencies``), so metrics and
-    snapshots capture the post-probe state on every execution path.
-    """
-    if spec.probe_accesses and probe_latencies is None:
-        from repro.core.harness import run_probe_phase
-
-        probe_latencies = run_probe_phase(
-            result.machine, spec.probe_accesses
-        )
-    metrics = None
-    snapshot_path = None
-    if spec.collect_metrics:
-        from repro.system.stats import machine_metrics
-        from repro.trace.events import STAGE_KINDS
-
-        stage = frozenset(STAGE_KINDS)
-        events = [e for e in result.core.tracer.events if e.kind in stage]
-        metrics = machine_metrics(result.machine, events=events).to_json()
-    if spec.snapshot_dir is not None:
-        from repro.snapshot.handle import save_trial_snapshot
-
-        snapshot_path = save_trial_snapshot(
-            result.machine, spec, spec.snapshot_dir
-        )
-    return TrialSummary(
-        victim=spec.victim,
-        scheme=result.scheme,
-        secret=spec.secret,
-        seed=spec.seed,
-        cycles=result.cycles,
-        access_cycle=dict(result.access_cycle),
-        visible=tuple(result.visible),
-        retired=result.core.stats.retired,
-        line_a=victim.line_a,
-        line_b=victim.line_b,
-        metrics=metrics,
-        snapshot_path=snapshot_path,
-        probe_latencies=probe_latencies,
-    )

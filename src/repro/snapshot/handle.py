@@ -95,22 +95,11 @@ def rehydrate_trial(spec, path: str):
     scheduled actions are not preserved, so the result is for state
     inspection, not bit-exact resumption of pending attacker actions.
     """
-    from repro.core.harness import begin_victim_trial
     from repro.core.victims import victim_by_name
+    from repro.runner.runner import begin_spec_trial
 
     state, _meta = load_snapshot(path)
     victim = victim_by_name(spec.victim, **dict(spec.victim_kwargs))
-    setup = begin_victim_trial(
-        victim,
-        spec.scheme,
-        spec.secret,
-        hierarchy_config=spec.hierarchy_config,
-        reference_accesses=spec.reference_accesses,
-        noise_rate=spec.noise_rate,
-        noise_pool=spec.noise_pool,
-        seed=spec.seed,
-        max_cycles=spec.max_cycles,
-        extra_lines=spec.extra_lines,
-    )
+    setup = begin_spec_trial(spec, victim)
     setup.machine.restore(state)
     return setup

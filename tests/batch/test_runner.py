@@ -5,7 +5,7 @@ import pytest
 pytest.importorskip("numpy")
 
 import repro.batch.plan as batch_plan
-from repro.batch import MIN_LANES, batch_eligible, group_key, plan_batch_groups
+from repro.batch import MIN_LANES, batch_eligible, group_key, plan_batch_groups_report
 from repro.core.victims import ADDR_REF
 from repro.memory.hierarchy import HierarchyConfig
 from repro.runner import (
@@ -139,7 +139,7 @@ def test_plan_groups_and_passthrough():
         _spec(scheme="unsafe", reference_accesses=REFS_A, seed=1),
         _spec(scheme="unsafe", reference_accesses=REFS_A, seed=2),
     ]
-    groups, passthrough = plan_batch_groups(specs)
+    groups, passthrough, _ = plan_batch_groups_report(specs)
     # Only the first pair groups: the muontrap spec is alone, the
     # sanitize spec is ineligible, and the unsafe pair shares a single
     # reference schedule (< MIN_LANES distinct lanes: fork territory).
@@ -151,7 +151,7 @@ def test_plan_groups_and_passthrough():
 def test_plan_requires_numpy(monkeypatch):
     monkeypatch.setattr(batch_plan, "HAVE_NUMPY", False)
     specs = [_spec(secret=0), _spec(secret=1, reference_accesses=REFS_B)]
-    groups, passthrough = plan_batch_groups(specs)
+    groups, passthrough, _ = plan_batch_groups_report(specs)
     assert groups == []
     assert passthrough == [0, 1]
     assert not batch_eligible(specs[0])

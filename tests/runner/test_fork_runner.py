@@ -1,5 +1,7 @@
 """Fork-group planning and runner integration."""
 
+import os
+
 import pytest
 
 from repro.runner import (
@@ -11,7 +13,8 @@ from repro.runner import (
 )
 from repro.runner import faults
 from repro.runner.faults import FaultPlan, FaultSpec
-from repro.snapshot import group_key, plan_fork_groups, seed_is_inert
+from repro.runner.runner import stream_dependent
+from repro.snapshot import group_key, plan_fork_groups
 
 
 @pytest.fixture(autouse=True)
@@ -36,7 +39,7 @@ def test_plan_groups_by_secret_and_inert_seed():
     """Default config: seeds are inert, so every (victim, scheme) bucket
     collapses into one group spanning all secrets and seeds."""
     specs = _grid()
-    assert all(seed_is_inert(s) for s in specs)
+    assert not any(stream_dependent(s) for s in specs)
     groups, passthrough = plan_fork_groups(specs)
     assert passthrough == []
     assert sorted(len(g) for g in groups) == [4, 4]
@@ -56,7 +59,7 @@ def test_plan_passes_through_sanitized_and_noisy_trials():
     groups, passthrough = plan_fork_groups(specs)
     assert groups == []
     assert passthrough == [0, 1, 2, 3]
-    assert not seed_is_inert(specs[2])  # noise makes the seed live
+    assert stream_dependent(specs[2])  # noise makes the seed live
 
 
 def test_plan_passes_through_singletons():
@@ -91,7 +94,7 @@ def test_dram_jitter_demotes_to_per_seed_groups():
         for seed in (1, 2)
         for secret in (0, 1)
     ]
-    assert not seed_is_inert(specs[0])
+    assert stream_dependent(specs[0])
     groups, passthrough = plan_fork_groups(specs)
     assert passthrough == []
     assert sorted(len(g) for g in groups) == [2, 2]
@@ -170,3 +173,26 @@ def test_run_wrapper_uses_fork_path():
     forked = SerialSweepRunner(fork=True).run(specs)
     assert forked.summaries == cold.summaries
     assert forked.failures == cold.failures
+
+
+def test_fork_gives_snapshot_trials_their_own_handles(tmp_path):
+    """A snapshot handle must be the spec's own end-of-trial machine.
+    Forking would relabel the seed-4 probe's summary (and its handle
+    path) onto the seed-5 variants, so such specs run cold."""
+    specs = [
+        TrialSpec(
+            victim="gdnpeu",
+            scheme="dom-nontso",
+            secret=secret,
+            seed=seed,
+            snapshot_dir=str(tmp_path),
+        )
+        for secret in (0, 1)
+        for seed in (4, 5)
+    ]
+    forked = SerialSweepRunner(fork=True).run_outcomes(specs)
+    paths = [o.summary.snapshot_path for o in forked]
+    assert len(set(paths)) == len(specs)
+    assert all(os.path.exists(path) for path in paths)
+    assert forked == SerialSweepRunner().run_outcomes(specs)
+    assert plan_fork_groups(specs) == ([], [0, 1, 2, 3])

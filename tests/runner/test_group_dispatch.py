@@ -1,0 +1,111 @@
+"""The runner's group-dispatch loop: fallbacks of the fork and batch
+layers to cold execution, and the fork+batch pool path."""
+
+import pytest
+
+import repro.snapshot.fork as fork
+from repro.core.victims import ADDR_REF
+from repro.runner import ParallelSweepRunner, SerialSweepRunner, TrialSpec, faults
+
+REFS_A = ((ADDR_REF, 60),)
+REFS_B = ((ADDR_REF, 60), (ADDR_REF + 64, 150))
+
+
+@pytest.fixture(autouse=True)
+def _no_fault_plan():
+    faults.clear_plan()
+    yield
+    faults.clear_plan()
+
+
+def _spec(**kw):
+    base = dict(
+        victim="gdnpeu", scheme="dom-nontso", secret=1, seed=4,
+        reference_accesses=REFS_A,
+    )
+    base.update(kw)
+    return TrialSpec(**base)
+
+
+def _mixed_specs():
+    # The grid of tests/batch/test_runner.py: one batch group, a fork
+    # singleton, a sanitized spec and a structured failure.
+    return [
+        _spec(secret=s, seed=seed, reference_accesses=refs)
+        for s in (0, 1)
+        for seed in (4, 5)
+        for refs in (REFS_A, REFS_B)
+    ] + [
+        _spec(scheme="muontrap"),
+        _spec(sanitize=True),
+        _spec(scheme="unsafe", max_cycles=40),
+    ]
+
+
+def _fork_specs():
+    return [_spec(secret=s, seed=seed) for s in (0, 1) for seed in (4, 5)]
+
+
+def test_failed_batch_group_is_tallied_and_runs_cold(monkeypatch):
+    pytest.importorskip("numpy")
+    import repro.batch.engine as engine
+
+    def broken(specs, **kw):
+        raise RuntimeError("mirror bug")
+
+    monkeypatch.setattr(engine, "run_batch_group_detailed", broken)
+    specs = _mixed_specs()
+    result = SerialSweepRunner(batch=True).run(specs)
+    assert result.outcomes == SerialSweepRunner().run_outcomes(specs)
+    assert result.batch_stats["failed"] == 8
+    assert "batched" not in result.batch_stats
+    assert "ejected" not in result.batch_stats
+
+
+def test_batch_stats_without_groups_have_no_lane_counts():
+    pytest.importorskip("numpy")
+    result = SerialSweepRunner(batch=True).run([_spec(scheme="muontrap")])
+    assert result.batch_stats == {"bypass.min_lanes": 1}
+
+
+def test_declined_fork_group_falls_back_to_cold(monkeypatch):
+    calls = []
+
+    def declined(specs):
+        calls.append(len(specs))
+        return None
+
+    monkeypatch.setattr(fork, "run_fork_group", declined)
+    specs = _fork_specs()
+    assert SerialSweepRunner(fork=True).run_outcomes(
+        specs
+    ) == SerialSweepRunner().run_outcomes(specs)
+    assert calls == [4]
+
+
+def test_pool_failure_resets_pool_and_runs_cold(monkeypatch):
+    resets = []
+
+    def broken_map(self, fn, items):
+        raise RuntimeError("pool lost")
+
+    def reset(self):
+        resets.append(True)
+
+    monkeypatch.setattr(ParallelSweepRunner, "map", broken_map)
+    monkeypatch.setattr(ParallelSweepRunner, "_reset_pool", reset)
+    specs = _fork_specs()
+    with ParallelSweepRunner(workers=2, fork=True) as runner:
+        outcomes = runner.run_outcomes(specs)
+    assert resets == [True]
+    assert outcomes == SerialSweepRunner().run_outcomes(specs)
+
+
+def test_parallel_fork_and_batch_match_cold():
+    pytest.importorskip("numpy")
+    specs = _mixed_specs()
+    cold = SerialSweepRunner().run_outcomes(specs)
+    with ParallelSweepRunner(workers=2, fork=True, batch=True) as runner:
+        result = runner.run(specs)
+    assert result.outcomes == cold
+    assert result.batch_stats["batched"] == 8

@@ -11,8 +11,9 @@ import pytest
 from repro.core.harness import run_victim_trial
 from repro.core.victims import victim_by_name
 from repro.runner import SerialSweepRunner, TrialSpec
+from repro.runner.runner import begin_spec_trial
 from repro.schemes.registry import SCHEME_FACTORIES
-from repro.snapshot.fork import _begin, _probe_to_fork_point
+from repro.snapshot.fork import _probe_to_fork_point
 from repro.staticcheck.sanitizer import InvariantSanitizer
 from repro.trace import Tracer
 
@@ -49,7 +50,7 @@ def test_fork_bit_identical_event_trace(scheme):
     every kind."""
     victim = victim_by_name("gdnpeu")
     spec = TrialSpec(victim="gdnpeu", scheme=scheme, secret=1, seed=7)
-    setup = _begin(spec, victim, Tracer())
+    setup = begin_spec_trial(spec, victim, tracer=Tracer())
     secret_line = setup.machine.hierarchy.llc.layout.line_addr(
         victim.secret_addr
     )
@@ -82,7 +83,7 @@ def test_restored_state_satisfies_invariants(scheme):
     check to pass."""
     victim = victim_by_name("gdnpeu")
     spec = TrialSpec(victim="gdnpeu", scheme=scheme, secret=1, seed=3)
-    setup = _begin(spec, victim, Tracer())
+    setup = begin_spec_trial(spec, victim, tracer=Tracer())
     secret_line = setup.machine.hierarchy.llc.layout.line_addr(
         victim.secret_addr
     )
