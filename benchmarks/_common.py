@@ -80,6 +80,21 @@ def sweep_grid(
     ]
 
 
+def pair_leaks(spec, scheme, line: Optional[int] = None) -> bool:
+    """Does ``spec`` leak under ``scheme`` by the Table-1 oracle
+    (:func:`repro.core.matrix.pair_signals` over one run per secret)?
+    ``line=None`` asks for an order(A, B) flip; otherwise for a
+    presence or shift signal on ``line``."""
+    from repro.staticcheck.crossval import dynamic_signals
+
+    return any(
+        s.kind == "order-flip"
+        if line is None
+        else s.line == line and s.kind != "order-flip"
+        for s in dynamic_signals(spec, scheme)
+    )
+
+
 def with_runner(fn: Callable, **runner_kwargs):
     """Run ``fn(runner)`` inside a default ``make_runner`` context.
 

@@ -12,6 +12,7 @@ import pytest
 from repro.analysis.reporting import format_table
 from repro.core.experiments import ablation_advanced_defense, fig12_defense_overhead
 from repro.core.harness import run_victim_trial
+from repro.core.matrix import order_flips
 from repro.core.victims import gdnpeu_victim
 from repro.schemes import DelayOnMiss, PriorityDefense
 
@@ -69,11 +70,11 @@ def test_bench_ablation_advanced_defense(benchmark):
     )
     text += (
         f"\n\nGDNPEU order(A,B) under DoM:      s0={base_orders[0]} "
-        f"s1={base_orders[1]}  (leaks: {base_orders[0] != base_orders[1]})"
+        f"s1={base_orders[1]}  (leaks: {order_flips(*base_orders)})"
         f"\nGDNPEU order(A,B) under priority:  s0={defense_orders[0]} "
-        f"s1={defense_orders[1]}  (leaks: {defense_orders[0] != defense_orders[1]})"
+        f"s1={defense_orders[1]}  (leaks: {order_flips(*defense_orders)})"
     )
     emit_report("ablation_advanced_defense", text)
     assert result.blocks_gdnpeu
-    assert base_orders[0] != base_orders[1]
+    assert order_flips(*base_orders)
     assert defense_orders[0] == defense_orders[1]

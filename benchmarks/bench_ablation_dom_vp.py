@@ -19,7 +19,6 @@ import pytest
 
 from repro.analysis.reporting import format_table
 from repro.core.experiments import fig12_defense_overhead
-from repro.core.harness import run_victim_trial
 from repro.core.victims import (
     gdmshr_victim,
     gdnpeu_arith_victim,
@@ -27,39 +26,24 @@ from repro.core.victims import (
     girs_victim,
 )
 
-from _common import emit_report
-
-
-def order_leak(spec, scheme):
-    orders = [
-        run_victim_trial(spec, scheme, s).order(spec.line_a, spec.line_b)
-        for s in (0, 1)
-    ]
-    return orders[0] != orders[1] and None not in orders
-
-
-def time_leak(spec, scheme, line_getter):
-    times = [
-        run_victim_trial(spec, scheme, s).first_access(line_getter(spec))
-        for s in (0, 1)
-    ]
-    if (times[0] is None) != (times[1] is None):
-        return True
-    if times[0] is None:
-        return False
-    return abs(times[0] - times[1]) > 8
+from _common import emit_report, pair_leaks
 
 
 def run_ablation():
     rows = []
-    for label, check in [
-        ("GDNPEU, load transmitter", lambda s: order_leak(gdnpeu_victim(), s)),
-        ("GDNPEU, arith transmitter", lambda s: order_leak(gdnpeu_arith_victim(), s)),
-        ("GDMSHR", lambda s: time_leak(gdmshr_victim(), s, lambda v: v.line_a)),
-        ("GIRS", lambda s: time_leak(girs_victim(), s, lambda v: v.target_iline)),
+    gdmshr, girs = gdmshr_victim(), girs_victim()
+    for label, spec, line in [
+        ("GDNPEU, load transmitter", gdnpeu_victim(), None),
+        ("GDNPEU, arith transmitter", gdnpeu_arith_victim(), None),
+        ("GDMSHR", gdmshr, gdmshr.line_a),
+        ("GIRS", girs, girs.target_iline),
     ]:
         rows.append(
-            (label, check("dom-nontso"), check("dom-nontso-vp"))
+            (
+                label,
+                pair_leaks(spec, "dom-nontso", line),
+                pair_leaks(spec, "dom-nontso-vp", line),
+            )
         )
     perf = fig12_defense_overhead(
         schemes=("dom-nontso", "dom-nontso-vp"), baseline="unsafe"

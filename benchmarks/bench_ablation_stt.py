@@ -12,7 +12,6 @@ import pytest
 
 from repro.analysis.reporting import format_table
 from repro.core.experiments import fig12_defense_overhead
-from repro.core.harness import run_victim_trial
 from repro.core.spectre import spectre_leak_trial
 from repro.core.victims import (
     gdmshr_victim,
@@ -22,45 +21,20 @@ from repro.core.victims import (
     girs_victim,
 )
 
-from _common import emit_report
-
-
-def leaks_order(spec, scheme):
-    orders = [
-        run_victim_trial(spec, scheme, s).order(spec.line_a, spec.line_b)
-        for s in (0, 1)
-    ]
-    return orders[0] != orders[1]
-
-
-def leaks_time(spec, scheme, line_getter):
-    times = [
-        run_victim_trial(spec, scheme, s).first_access(line_getter(spec))
-        for s in (0, 1)
-    ]
-    if times[0] is None and times[1] is None:
-        return False
-    if (times[0] is None) != (times[1] is None):
-        return True
-    return abs(times[0] - times[1]) > 8
+from _common import emit_report, pair_leaks
 
 
 def run_ablation():
+    gdmshr, girs = gdmshr_victim(), girs_victim()
     security = [
         ("Spectre v1", spectre_leak_trial("stt", 7).leaked),
-        ("GDNPEU, transient load tx", leaks_order(gdnpeu_victim(), "stt")),
-        ("GDNPEU, transient arith tx", leaks_order(gdnpeu_arith_victim(), "stt")),
-        (
-            "GDMSHR, transient",
-            leaks_time(gdmshr_victim(), "stt", lambda s: s.line_a),
-        ),
-        (
-            "GIRS, transient",
-            leaks_time(girs_victim(), "stt", lambda s: s.target_iline),
-        ),
+        ("GDNPEU, transient load tx", pair_leaks(gdnpeu_victim(), "stt")),
+        ("GDNPEU, transient arith tx", pair_leaks(gdnpeu_arith_victim(), "stt")),
+        ("GDMSHR, transient", pair_leaks(gdmshr, "stt", gdmshr.line_a)),
+        ("GIRS, transient", pair_leaks(girs, "stt", girs.target_iline)),
         (
             "GDNPEU, bound-to-retire secret",
-            leaks_order(gdnpeu_architectural_victim(), "stt"),
+            pair_leaks(gdnpeu_architectural_victim(), "stt"),
         ),
     ]
     overhead = fig12_defense_overhead(schemes=("stt", "fence-spectre"))

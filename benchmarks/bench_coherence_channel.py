@@ -12,6 +12,7 @@ import pytest
 from repro.analysis.reporting import format_table
 from repro.analysis.timeline import timeline_rows
 from repro.core.harness import ATTACKER_CORE, prepare_machine
+from repro.core.matrix import reference_cycle
 from repro.core.victims import gdnpeu_store_victim
 from repro.system.agent import AttackerAgent
 from repro.trace import Tracer
@@ -54,10 +55,10 @@ def run_sweep():
     for scheme in SCHEMES:
         t0 = store_retire_time(scheme, 0)
         t1 = store_retire_time(scheme, 1)
-        if abs(t1 - t0) < 8:
+        probe = reference_cycle(t0, t1)
+        if probe is None:
             rows.append((scheme, t0, t1, None))
             continue
-        probe = (t0 + t1) // 2
         correct = sum(
             decode_bit(scheme, bit, probe) == bit for bit in (0, 1, 1, 0, 0, 1)
         )

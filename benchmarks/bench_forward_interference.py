@@ -26,10 +26,10 @@ Expected pattern (forward interference breaks invisibility):
 
 import pytest
 
+from repro.core.matrix import pair_signals
 from repro.core.victims import victim_by_name
 from repro.schemes.registry import SCHEME_FACTORIES
 from repro.staticcheck.crossval import reconcile_verdicts, render_reconciliation
-from repro.symni.replay import summary_signals
 from repro.workloads import FORWARD_VICTIMS, ForwardReceiver
 
 from _common import emit_report, sweep_grid, with_runner
@@ -61,7 +61,7 @@ def run_forward_matrix():
         matrix[victim] = {
             scheme: [
                 s.kind
-                for s in summary_signals(
+                for s in pair_signals(
                     vspec,
                     by_cell[(victim, scheme, 0)],
                     by_cell[(victim, scheme, 1)],
@@ -102,11 +102,9 @@ def test_bench_forward_interference(benchmark):
         for scheme in ALL_SCHEMES:
             if not matrix[victim][scheme]:
                 continue
-            receiver = ForwardReceiver.calibrate(vspec, scheme)
-            decoded = {
-                secret: receiver.decode(by_cell[(victim, scheme, secret)])
-                for secret in (0, 1)
-            }
+            runs = [by_cell[(victim, scheme, secret)] for secret in (0, 1)]
+            receiver = ForwardReceiver.from_pair(vspec, *runs)
+            decoded = {secret: receiver.decode(runs[secret]) for secret in (0, 1)}
             ok = decoded == {0: 0, 1: 1}
             decode_lines.append(
                 f"  {victim:<9} {scheme:<22} decoded {decoded}"

@@ -12,6 +12,7 @@ import pytest
 
 from repro.analysis.reporting import format_table
 from repro.core.harness import run_victim_trial
+from repro.core.matrix import reference_cycle
 from repro.core.noninterference import check_ideal_invisible_speculation
 from repro.core.victims import (
     ADDR_REF,
@@ -54,11 +55,11 @@ def calibrated_reference(spec, scheme):
     """The attacker's offline calibration: find the monitored access's
     time under both secrets and place the reference between them."""
     line = spec.line_a if spec.line_a is not None else spec.target_iline
-    t0 = run_victim_trial(spec, scheme, 0).first_access(line)
-    t1 = run_victim_trial(spec, scheme, 1).first_access(line)
-    if t0 is None or t1 is None or abs(t0 - t1) < 4:
-        return ()
-    return ((ADDR_REF, (t0 + t1) // 2),)
+    ref = reference_cycle(
+        run_victim_trial(spec, scheme, 0).first_access(line),
+        run_victim_trial(spec, scheme, 1).first_access(line),
+    )
+    return () if ref is None else ((ADDR_REF, ref),)
 
 
 def run_sweep():

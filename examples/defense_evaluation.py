@@ -14,6 +14,7 @@ Run:  python examples/defense_evaluation.py
 from repro.analysis.reporting import format_table
 from repro.core.experiments import fig12_defense_overhead
 from repro.core.harness import run_victim_trial
+from repro.core.matrix import order_flips
 from repro.core.noninterference import check_ideal_invisible_speculation
 from repro.core.victims import gdnpeu_victim
 from repro.schemes import DelayOnMiss, PriorityDefense
@@ -35,7 +36,7 @@ def security_table():
             run_victim_trial(spec, scheme(), s).order(spec.line_a, spec.line_b)
             for s in (0, 1)
         ]
-        leaks = orders[0] != orders[1]
+        leaks = order_flips(*orders)
         rows.append([label, orders[0], orders[1], "LEAKS" if leaks else "safe"])
     print(format_table(["scheme", "order(s=0)", "order(s=1)", "verdict"], rows))
     print()

@@ -12,19 +12,26 @@ paper treats as equivalent to a covert channel (§3.3).
 * **VI-AD** — as VD-AD but the monitored access is an instruction-line
   fetch; for GIRS the channel also manifests as presence/absence of the
   target I-line fill (§4.3).
+
+The signal menu itself (:func:`order_flips`, :func:`line_signal`,
+:func:`reference_cycle` and :func:`pair_signals`) lives here too, and
+is the one leak judgement the rest of the tree uses: the static
+analyzer's cross-validation, the symbolic replay, the forward receiver
+and the ablation benches.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.harness import TrialResult, run_victim_trial
 from repro.pipeline.core import DeadlockError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runner import SweepRunner
+    from repro.runner.spec import TrialSummary
 from repro.core.victims import (
     ADDR_REF,
     VictimSpec,
@@ -52,6 +59,101 @@ DEFAULT_SCHEMES = [
 
 ORDERINGS = ("vd-vd", "vd-ad", "vi-ad")
 GADGETS = ("gdnpeu", "gdmshr", "girs")
+
+
+def order_flips(o0: Optional[str], o1: Optional[str]) -> bool:
+    """The VD-VD signal: order(A, B) is known under both secrets and
+    differs.  A missing order is never a flip."""
+    return o0 is not None and o1 is not None and o0 != o1
+
+
+def line_signal(
+    t0: Optional[int], t1: Optional[int], margin: int = MARGIN
+) -> Optional[str]:
+    """The signal one monitored line's first visible access carries
+    between two runs: ``"presence"`` when only one run touches it,
+    ``"shift"`` when the two accesses are at least ``margin`` cycles
+    apart, else None."""
+    if (t0 is None) != (t1 is None):
+        return "presence"
+    if t0 is not None and t1 is not None and abs(t0 - t1) >= margin:
+        return "shift"
+    return None
+
+
+def reference_cycle(
+    t0: Optional[int], t1: Optional[int], margin: int = MARGIN
+) -> Optional[int]:
+    """The attacker's calibrated fixed-time reference (VD-AD / VI-AD):
+    halfway between the two access times when they shift, else None."""
+    if line_signal(t0, t1, margin) != "shift":
+        return None
+    assert t0 is not None and t1 is not None
+    return (t0 + t1) // 2
+
+
+@dataclass(frozen=True)
+class Signal:
+    """One dynamic interference signal observed between secret runs."""
+
+    kind: str  # "order-flip" | "shift" | "presence"
+    line: Optional[int]
+    #: Which side of the victim the line belongs to.
+    side: str  # "data" | "inst"
+    t_secret0: Optional[int]
+    t_secret1: Optional[int]
+    detail: str
+
+
+def pair_signals(
+    spec: VictimSpec,
+    r0: Union[TrialResult, "TrialSummary"],
+    r1: Union[TrialResult, "TrialSummary"],
+    *,
+    margin: int = MARGIN,
+) -> List[Signal]:
+    """Every Table-1 signal between two runs of ``spec``: an order flip
+    of its data lines A/B, then a presence or shift signal on each of
+    line A, line B and the target I-line.  ``r0``/``r1`` are
+    :class:`TrialResult` or :class:`~repro.runner.spec.TrialSummary`
+    records; each ``detail`` names the secret its run carried."""
+    signals: List[Signal] = []
+    if spec.line_a is not None and spec.line_b is not None:
+        o0 = r0.order(spec.line_a, spec.line_b)
+        o1 = r1.order(spec.line_a, spec.line_b)
+        if order_flips(o0, o1):
+            signals.append(
+                Signal(
+                    "order-flip",
+                    spec.line_a,
+                    "data",
+                    r0.first_access(spec.line_a),
+                    r1.first_access(spec.line_a),
+                    f"order(A,B) flips: s{r0.secret}={o0} s{r1.secret}={o1}",
+                )
+            )
+    for line, side in (
+        (spec.line_a, "data"),
+        (spec.line_b, "data"),
+        (spec.target_iline, "inst"),
+    ):
+        if line is None:
+            continue
+        t0, t1 = r0.first_access(line), r1.first_access(line)
+        kind = line_signal(t0, t1, margin)
+        if kind is None:
+            continue
+        if kind == "presence":
+            touched = r0 if t0 is not None else r1
+            detail = f"line {line:#x} accessed only with secret={touched.secret}"
+        else:
+            assert t0 is not None and t1 is not None
+            detail = (
+                f"line {line:#x} first access moved {abs(t0 - t1)} "
+                f"cycle(s) (margin {margin})"
+            )
+        signals.append(Signal(kind, line, side, t0, t1, detail))
+    return signals
 
 
 @dataclass
@@ -145,9 +247,7 @@ def evaluate_cell(
         t0, t1 = r0.first_access(line), r1.first_access(line)
         order0 = r0.order(spec.line_a, spec.line_b)
         order1 = r1.order(spec.line_a, spec.line_b)
-        vulnerable = (
-            order0 is not None and order1 is not None and order0 != order1
-        )
+        vulnerable = order_flips(order0, order1)
         detail = f"order(A,B): s0={order0} s1={order1}"
         return MatrixCell(gadget, ordering, scheme, vulnerable, t0, t1, detail)
 
@@ -156,20 +256,18 @@ def evaluate_cell(
     c0 = run_victim_trial(spec, scheme, 0)
     c1 = run_victim_trial(spec, scheme, 1)
     t0, t1 = c0.first_access(line), c1.first_access(line)
-    if t0 is None and t1 is None:
-        return MatrixCell(
-            gadget, ordering, scheme, False, t0, t1, "no visible access"
-        )
-    if (t0 is None) != (t1 is None):
-        # Presence/absence channel (the GIRS §4.3 variant).
-        return MatrixCell(
-            gadget, ordering, scheme, True, t0, t1, "presence/absence"
-        )
-    if abs(t0 - t1) < MARGIN:
-        return MatrixCell(
-            gadget, ordering, scheme, False, t0, t1, f"shift {abs(t0-t1)} < {MARGIN}"
-        )
-    ref_cycle = (t0 + t1) // 2
+    ref_cycle = reference_cycle(t0, t1)
+    if ref_cycle is None:
+        if line_signal(t0, t1) == "presence":
+            # Presence/absence channel (the GIRS §4.3 variant).
+            return MatrixCell(
+                gadget, ordering, scheme, True, t0, t1, "presence/absence"
+            )
+        if t0 is None or t1 is None:
+            detail = "no visible access"
+        else:
+            detail = f"shift {abs(t0 - t1)} < {MARGIN}"
+        return MatrixCell(gadget, ordering, scheme, False, t0, t1, detail)
     v0 = run_victim_trial(
         spec, scheme, 0, reference_accesses=[(ADDR_REF, ref_cycle)]
     )
@@ -178,7 +276,7 @@ def evaluate_cell(
     )
     o0 = v0.order(line, ADDR_REF)
     o1 = v1.order(line, ADDR_REF)
-    vulnerable = o0 is not None and o1 is not None and o0 != o1
+    vulnerable = order_flips(o0, o1)
     detail = f"ref@{ref_cycle}: s0={o0} s1={o1}"
     return MatrixCell(gadget, ordering, scheme, vulnerable, t0, t1, detail)
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, Iterable, List, Optional
+from typing import Any, Dict, List, Tuple
 
 from repro.memory.hierarchy import AccessKind, VisibleAccess
 from repro.runner import faults
@@ -45,6 +45,73 @@ JOURNAL_VERSION = 1
 JOURNALED_STATUSES = frozenset(
     {TrialStatus.OK, TrialStatus.DEADLOCK, TrialStatus.ERROR}
 )
+
+
+def json_line(record: Dict[str, Any]) -> str:
+    """One canonical JSONL line (compact, sorted keys, newline-terminated)."""
+    return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def append_record(
+    path: str, record: Dict[str, Any], *, op: str, fsync: bool = False
+) -> None:
+    """Append one JSON record with a single ``O_APPEND`` write, so
+    records from concurrent writers never interleave mid-line
+    (optional fsync).
+
+    The record is written as ``"\\n" + json + "\\n"``.  The leading
+    newline is a record separator, not formatting: if a previous writer
+    died mid-append, its torn prefix has no terminator, and without the
+    separator this record would concatenate onto it and be lost with
+    it.  Readers skip the resulting blank lines.
+
+    ``op`` names the I/O point for the fault-injection layer
+    (:mod:`repro.runner.faults`), so chaos schedules can tear or
+    ENOSPC-fail exactly this append.
+    """
+    payload = ("\n" + json_line(record)).encode()
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+    try:
+        faults.fs_write(fd, payload, op)
+        if fsync:
+            os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def read_records(
+    path: str, offset: int = 0
+) -> Tuple[List[Dict[str, Any]], int]:
+    """Complete records at ``offset`` onward, plus the new offset.
+
+    Corrupt or torn lines are skipped (their bytes are still consumed
+    once a newline terminates them); a partial final line is *not*
+    consumed — its bytes stay pending until the writer finishes or
+    dies, at which point a later record's leading separator closes it.
+    """
+    try:
+        with open(path, "rb") as fh:
+            fh.seek(offset)
+            data = fh.read()
+    except FileNotFoundError:
+        return [], offset
+    records: List[Dict[str, Any]] = []
+    consumed = 0
+    while True:
+        newline = data.find(b"\n", consumed)
+        if newline < 0:
+            break
+        line = data[consumed:newline].strip()
+        consumed = newline + 1
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except ValueError:
+            continue  # torn or corrupt record: skipped, bytes consumed
+        if isinstance(record, dict):
+            records.append(record)
+    return records, offset + consumed
 
 
 def summary_to_json(summary: TrialSummary) -> dict:
@@ -168,27 +235,13 @@ class TrialJournal:
 
     # ------------------------------------------------------------------
     def record(self, outcome: TrialOutcome) -> None:
-        """Append one outcome.  A single ``O_APPEND`` write, so records
-        from concurrent workers never interleave mid-line.
-
-        The leading newline is a record separator, not formatting: if
-        the previous writer died mid-append, its torn prefix has no
-        terminator, and without the separator this record would
-        concatenate onto it and be lost with it.  The loader skips the
-        resulting blank lines (and still reads journals written before
-        this hardening).
-        """
-        line = json.dumps(
-            outcome_to_json(outcome), sort_keys=True, separators=(",", ":")
+        """Append one outcome (see :func:`append_record`)."""
+        append_record(
+            self.path,
+            outcome_to_json(outcome),
+            op=faults.OP_JOURNAL_APPEND,
+            fsync=self.fsync,
         )
-        payload = ("\n" + line + "\n").encode()
-        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
-        try:
-            faults.fs_write(fd, payload, faults.OP_JOURNAL_APPEND)
-            if self.fsync:
-                os.fsync(fd)
-        finally:
-            os.close(fd)
 
     def should_record(self, outcome: TrialOutcome) -> bool:
         return outcome.status in JOURNALED_STATUSES
@@ -198,17 +251,8 @@ class TrialJournal:
         """All journaled outcomes by digest; corrupt lines are skipped
         (a torn final write just means that trial re-runs)."""
         records: Dict[str, TrialOutcome] = {}
-        try:
-            with open(self.path, "r", encoding="utf-8") as fh:
-                lines = fh.readlines()
-        except FileNotFoundError:
-            return records
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
+        for data in read_records(self.path)[0]:
             try:
-                data = json.loads(line)
                 outcome = outcome_from_json(data)
             except (ValueError, KeyError, TypeError):
                 continue  # torn or corrupt line: re-run that trial

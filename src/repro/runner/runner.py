@@ -217,6 +217,30 @@ def ok_outcome(
     )
 
 
+def failure_outcome(
+    spec: TrialSpec,
+    status: TrialStatus,
+    attempts: int,
+    error_type: Optional[str],
+    error_message: Optional[str],
+    *,
+    cycle: Optional[int] = None,
+) -> TrialOutcome:
+    """The failed outcome of ``spec`` after ``attempts`` tries."""
+    return TrialOutcome(
+        digest=spec.digest(),
+        victim=spec.victim,
+        scheme=spec.scheme,
+        secret=spec.secret,
+        seed=spec.seed,
+        status=status,
+        attempts=attempts,
+        error_type=error_type,
+        error_message=error_message,
+        cycle=cycle,
+    )
+
+
 def effective_dram_jitter(spec: TrialSpec) -> int:
     """The DRAM jitter this spec will actually run with.
 
@@ -332,6 +356,8 @@ def run_trial_outcome(
     if plan is _PLAN_UNSET:
         plan = faults.current_plan()
     fault = plan.fault_for(spec, attempt) if plan is not None else None
+    error: Exception
+    cycle: Optional[int]
     try:
         if fault is not None:
             faults.execute_process_fault(fault, spec)
@@ -340,40 +366,19 @@ def run_trial_outcome(
         )
         return ok_outcome(spec, summary, attempt)
     except faults.WorkerKilled as exc:
-        return _failure_outcome(spec, TrialStatus.WORKER_LOST, exc, attempt)
+        status, error, cycle = TrialStatus.WORKER_LOST, exc, None
     except DeadlockError as exc:
         # Covers forced deadlocks, starvation deadlocks (MSHR
         # exhaustion and similar structural hangs) and cycle-budget
         # overruns (CycleBudgetError); ``exc.cycle`` records how far
         # the simulation got.
-        return _failure_outcome(
-            spec, TrialStatus.DEADLOCK, exc, attempt, cycle=exc.cycle
-        )
+        status, error, cycle = TrialStatus.DEADLOCK, exc, exc.cycle
     except KeyboardInterrupt:
         raise  # the user's interrupt is not a trial fault
     except Exception as exc:
-        return _failure_outcome(spec, TrialStatus.ERROR, exc, attempt)
-
-
-def _failure_outcome(
-    spec: TrialSpec,
-    status: TrialStatus,
-    exc: Optional[BaseException],
-    attempt: int,
-    *,
-    cycle: Optional[int] = None,
-) -> TrialOutcome:
-    return TrialOutcome(
-        digest=spec.digest(),
-        victim=spec.victim,
-        scheme=spec.scheme,
-        secret=spec.secret,
-        seed=spec.seed,
-        status=status,
-        attempts=attempt + 1,
-        error_type=type(exc).__name__ if exc is not None else None,
-        error_message=str(exc) if exc is not None else None,
-        cycle=cycle,
+        status, error, cycle = TrialStatus.ERROR, exc, None
+    return failure_outcome(
+        spec, status, attempt + 1, type(error).__name__, str(error), cycle=cycle
     )
 
 
@@ -855,19 +860,13 @@ class ParallelSweepRunner(SweepRunner):
                     continue
                 if attempts[i] > self.max_retries:
                     status = exhausted_status[i]
-                    outcomes[i] = TrialOutcome(
-                        digest=specs[i].digest(),
-                        victim=specs[i].victim,
-                        scheme=specs[i].scheme,
-                        secret=specs[i].secret,
-                        seed=specs[i].seed,
-                        status=status,
-                        attempts=attempts[i],
-                        error_type="RetriesExhausted",
-                        error_message=(
-                            f"gave up after {attempts[i]} attempt(s) "
-                            f"({status.value})"
-                        ),
+                    outcomes[i] = failure_outcome(
+                        specs[i],
+                        status,
+                        attempts[i],
+                        "RetriesExhausted",
+                        f"gave up after {attempts[i]} attempt(s) "
+                        f"({status.value})",
                     )
                     continue
                 todo.append(i)
@@ -963,8 +962,12 @@ class ParallelSweepRunner(SweepRunner):
                     # The chunk body itself failed (e.g. an unpicklable
                     # result): isolate as structured errors, no retry.
                     for i in chunk:
-                        completed[i] = _failure_outcome(
-                            specs[i], TrialStatus.ERROR, exc, attempts[i]
+                        completed[i] = failure_outcome(
+                            specs[i],
+                            TrialStatus.ERROR,
+                            attempts[i] + 1,
+                            type(exc).__name__,
+                            str(exc),
                         )
             if broken:
                 for chunk, _ in futures.values():

@@ -3,7 +3,8 @@
 A static analyzer that cannot be checked against ground truth degrades
 into a lint.  This harness replays an analyzed victim through the
 simulator with both secret values and derives the *dynamic interference
-signals* the paper's Table 1 machinery uses (:mod:`repro.core.matrix`):
+signals* the paper's Table 1 machinery uses
+(:func:`repro.core.matrix.pair_signals`):
 
 * **order flip** — the visible-access order of the monitored data lines
   A/B reverses with the secret (VD-VD);
@@ -28,8 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.core.harness import TrialResult, run_victim_trial
-from repro.core.matrix import MARGIN
+from repro.core.harness import run_victim_trial
+from repro.core.matrix import MARGIN, Signal, pair_signals
 from repro.core.victims import VictimSpec
 from repro.staticcheck.report import (
     FAMILY_GDMSHR,
@@ -47,19 +48,6 @@ DEFAULT_SCHEME = "unsafe"
 
 
 @dataclass(frozen=True)
-class Signal:
-    """One dynamic interference signal observed between secret runs."""
-
-    kind: str  # "order-flip" | "shift" | "presence"
-    line: Optional[int]
-    #: Which side of the victim the line belongs to.
-    side: str  # "data" | "inst"
-    t_secret0: Optional[int]
-    t_secret1: Optional[int]
-    detail: str
-
-
-@dataclass(frozen=True)
 class CrossValidation:
     """The dynamic verdict for one victim's static report."""
 
@@ -73,45 +61,6 @@ class CrossValidation:
         return all(f.confirmed for f in self.findings)
 
 
-def _line_signals(
-    r0: TrialResult,
-    r1: TrialResult,
-    line: Optional[int],
-    side: str,
-    margin: int,
-) -> List[Signal]:
-    if line is None:
-        return []
-    t0, t1 = r0.first_access(line), r1.first_access(line)
-    if t0 is None and t1 is None:
-        return []
-    if (t0 is None) != (t1 is None):
-        return [
-            Signal(
-                "presence",
-                line,
-                side,
-                t0,
-                t1,
-                f"line {line:#x} accessed only with secret="
-                f"{0 if t0 is not None else 1}",
-            )
-        ]
-    if t0 is not None and t1 is not None and abs(t0 - t1) >= margin:
-        return [
-            Signal(
-                "shift",
-                line,
-                side,
-                t0,
-                t1,
-                f"line {line:#x} first access moved {abs(t0 - t1)} "
-                f"cycle(s) (margin {margin})",
-            )
-        ]
-    return []
-
-
 def dynamic_signals(
     spec: VictimSpec,
     scheme: str = DEFAULT_SCHEME,
@@ -123,25 +72,7 @@ def dynamic_signals(
     signal the two visible-access logs exhibit."""
     r0 = run_victim_trial(spec, scheme, 0, max_cycles=max_cycles)
     r1 = run_victim_trial(spec, scheme, 1, max_cycles=max_cycles)
-    signals: List[Signal] = []
-    if spec.line_a is not None and spec.line_b is not None:
-        o0 = r0.order(spec.line_a, spec.line_b)
-        o1 = r1.order(spec.line_a, spec.line_b)
-        if o0 is not None and o1 is not None and o0 != o1:
-            signals.append(
-                Signal(
-                    "order-flip",
-                    spec.line_a,
-                    "data",
-                    r0.first_access(spec.line_a),
-                    r1.first_access(spec.line_a),
-                    f"order(A,B) flips: s0={o0} s1={o1}",
-                )
-            )
-    signals.extend(_line_signals(r0, r1, spec.line_a, "data", margin))
-    signals.extend(_line_signals(r0, r1, spec.line_b, "data", margin))
-    signals.extend(_line_signals(r0, r1, spec.target_iline, "inst", margin))
-    return signals
+    return pair_signals(spec, r0, r1, margin=margin)
 
 
 def _finding_confirmed(

@@ -41,7 +41,7 @@ from repro.symni.observables import (
     Observation,
     first_divergence,
 )
-from repro.symni.replay import ReplayResult, replay_counterexample, summary_signals
+from repro.symni.replay import ReplayResult, replay_counterexample
 from repro.symni.report import NoninterferenceReport, verdict_dict
 
 __all__ = [
@@ -71,7 +71,6 @@ __all__ = [
     "first_divergence",
     "ReplayResult",
     "replay_counterexample",
-    "summary_signals",
     "NoninterferenceReport",
     "verdict_dict",
 ]

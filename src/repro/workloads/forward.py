@@ -49,7 +49,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.core.matrix import MARGIN
+from repro.core.matrix import MARGIN, line_signal, order_flips
 from repro.core.victims import (
     ADDR_A,
     ADDR_B,
@@ -327,19 +327,11 @@ class ForwardCalibration:
 
     @property
     def order_usable(self) -> bool:
-        return (
-            self.order0 is not None
-            and self.order1 is not None
-            and self.order0 != self.order1
-        )
+        return order_flips(self.order0, self.order1)
 
     @property
     def shift_usable(self) -> bool:
-        return (
-            self.t0 is not None
-            and self.t1 is not None
-            and abs(self.t0 - self.t1) >= self.margin
-        )
+        return line_signal(self.t0, self.t1, self.margin) == "shift"
 
     @property
     def usable(self) -> bool:
@@ -379,10 +371,20 @@ class ForwardReceiver:
         # lazily imports this module for the registry entries.
         from repro.core.harness import run_victim_trial
 
-        if spec.line_a is None:
-            raise ValueError(f"victim {spec.name!r} has no monitored line A")
         r0 = run_victim_trial(spec, scheme, 0, seed=seed, max_cycles=max_cycles)
         r1 = run_victim_trial(spec, scheme, 1, seed=seed, max_cycles=max_cycles)
+        return cls.from_pair(spec, r0, r1, margin=margin)
+
+    @classmethod
+    def from_pair(
+        cls, spec: VictimSpec, r0, r1, *, margin: int = MARGIN
+    ) -> "ForwardReceiver":
+        """Learn the decode thresholds from one known run with secret 0
+        (``r0``) and one with secret 1 (``r1``): ``TrialResult`` or
+        ``TrialSummary`` records, e.g. the cells of a sweep that already
+        ran them."""
+        if spec.line_a is None:
+            raise ValueError(f"victim {spec.name!r} has no monitored line A")
         orders = [None, None]
         if spec.line_b is not None:
             orders = [r.order(spec.line_a, spec.line_b) for r in (r0, r1)]

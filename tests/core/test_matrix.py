@@ -3,7 +3,15 @@ paper's published pattern cell for cell."""
 
 import pytest
 
-from repro.core.matrix import evaluate_cell, format_matrix, run_matrix
+from repro.core.matrix import (
+    MARGIN,
+    evaluate_cell,
+    format_matrix,
+    line_signal,
+    order_flips,
+    reference_cycle,
+    run_matrix,
+)
 
 # The paper's Table 1, translated to our scheme names.  The VD-VD/VI
 # column is tested via VD-VD; the VI orderings via VI-AD.
@@ -95,3 +103,37 @@ def test_format_matrix_renders():
     assert "gdnpeu" in text
     assert "dom-nontso" in text
     assert "dom-tso" not in text.split("|")[1]  # invulnerable not listed
+
+
+# ----------------------------------------------------------------------
+# the signal menu every leak judgement in the tree calls
+# ----------------------------------------------------------------------
+def test_shift_of_exactly_margin_counts():
+    assert MARGIN == 8
+    assert line_signal(100, 108) == "shift"
+    assert line_signal(108, 100) == "shift"
+
+
+def test_shift_below_margin_is_quiet():
+    assert line_signal(100, 107) is None
+    assert line_signal(100, 100) is None
+
+
+def test_presence_and_absence():
+    assert line_signal(42, None) == "presence"
+    assert line_signal(None, 42) == "presence"
+    assert line_signal(None, None) is None
+
+
+def test_missing_order_never_flips():
+    assert order_flips("xy", None) is False
+    assert order_flips(None, None) is False
+    assert order_flips("xy", "xy") is False
+    assert order_flips("xy", "yx") is True
+
+
+def test_reference_cycle_is_the_archived_midpoint():
+    assert reference_cycle(99, 141) == 120  # Table 1: gdnpeu vd-ad ref@120
+    assert reference_cycle(100, 107) is None
+    assert reference_cycle(42, None) is None
+    assert reference_cycle(100, 107, margin=4) == 103
