@@ -23,7 +23,6 @@ from repro.batch.engine import (
 from repro.batch.plan import (
     MIN_LANES,
     batch_bypass_reason,
-    batch_eligible,
     effective_dram_jitter,
     group_key,
     plan_batch_groups_report,
@@ -42,7 +41,6 @@ __all__ = [
     "LockstepMirror",
     "MIN_LANES",
     "batch_bypass_reason",
-    "batch_eligible",
     "effective_dram_jitter",
     "group_key",
     "plan_batch_groups_report",

@@ -18,8 +18,8 @@ Soundness rests on comparison, not assumption:
   correctness never depends on lanes staying converged;
 * the leader lane itself is mirrored and compared op-by-op, and its
   final SoA state must reproduce ``hierarchy.capture()`` exactly —
-  any drift raises :class:`BatchMirrorError` and the whole group
-  falls back to the snapshot-fork / cold layers.
+  any drift raises :class:`BatchMirrorError` out of the group, and the
+  runner counts it ``failed`` and runs the whole group cold.
 
 With tracing enabled (differential tests), the engine reconstructs a
 full per-lane event trace from the leader's trace: each mirrored
@@ -768,13 +768,12 @@ class CohortRun:
 
     secret: int
     lane_specs: List[TrialSpec]
-    #: lane index -> summary (missing = ejected or cohort-level failure).
+    #: lane index -> summary (missing = ejected).
     summaries: Dict[int, TrialSummary]
     #: lane index -> reconstructed event trace (with_traces only).
     traces: Optional[Dict[int, List[TraceEvent]]]
-    #: lane index -> divergence / failure reason.
+    #: lane index -> divergence reason.
     diverged: Dict[int, str]
-    error: Optional[str] = None
 
 
 @dataclass
@@ -794,11 +793,12 @@ def run_batch_group_detailed(
 ) -> BatchGroupReport:
     """Execute one batch group; outcomes align with ``specs``.
 
-    Returns per-cohort diagnostics (ejections, per-lane traces) and
-    raises on group-level failures (mirror bug, setup failure) — the
-    runner then falls back to the fork/cold layers.  Per-lane
-    divergences never fail the group: the diverged spec is re-run cold
-    inside, exactly like a failed fork variant."""
+    Returns per-cohort diagnostics (ejections, per-lane traces).  Any
+    failure (mirror bug, leader fault, setup failure) in any cohort
+    raises: the runner counts the group as ``failed`` and runs all of it
+    cold.  A lane whose per-op results diverge from its leader is no
+    failure: it is ejected, with its reason in ``diverged``, and re-run
+    cold here."""
     from repro.core.victims import victim_by_name
     from repro.runner.runner import ok_outcome, run_trial_outcome, stream_dependent
 
@@ -821,24 +821,7 @@ def run_batch_group_detailed(
     cohort_runs: List[CohortRun] = []
     for (secret, seed_key), lane_map in cohorts.items():
         lane_specs = list(lane_map.values())
-        try:
-            run = _run_cohort(victim, secret, lane_specs, with_traces)
-        except KeyboardInterrupt:
-            raise
-        except Exception as exc:
-            # Cohort-level failure (mirror bug, leader fault): every
-            # lane of this cohort re-runs cold; other cohorts stand.
-            run = CohortRun(
-                secret=secret,
-                lane_specs=lane_specs,
-                summaries={},
-                traces=None,
-                diverged={
-                    k: f"cohort failed: {type(exc).__name__}: {exc}"
-                    for k in range(len(lane_specs))
-                },
-                error=f"{type(exc).__name__}: {exc}",
-            )
+        run = _run_cohort(victim, secret, lane_specs, with_traces)
         cohort_runs.append(run)
         for k, lane_spec in enumerate(lane_specs):
             summaries[
@@ -854,7 +837,7 @@ def run_batch_group_detailed(
             )
         ]
         if summary is None:
-            # Ejected / failed lane: the cold path is authoritative.
+            # Ejected lane: the cold path is authoritative.
             outcomes.append(run_trial_outcome(spec, plan=None))
             continue
         outcomes.append(ok_outcome(spec, summary))

@@ -54,11 +54,6 @@ def batch_bypass_reason(spec: TrialSpec) -> Optional[str]:
     return own_machine_reason(spec)
 
 
-def batch_eligible(spec: TrialSpec) -> bool:
-    """True when the lockstep mirror can soundly simulate this spec."""
-    return batch_bypass_reason(spec) is None
-
-
 def group_key(spec: TrialSpec) -> str:
     """Digest with the batchable dimensions normalized out.
 

@@ -41,7 +41,6 @@ import random
 import time
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, ProcessPoolExecutor, wait
 from dataclasses import replace
-from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.pipeline.core import DeadlockError
@@ -433,28 +432,65 @@ def _run_chunk_outcomes(
     return outcomes
 
 
-def _run_group(engine: str, specs: List[TrialSpec]):
-    """Pool-dispatchable group body (module-level, picklable by
-    reference; bind ``engine`` with :func:`functools.partial`).
+def plan_execution(
+    specs: Sequence[TrialSpec], *, fork: bool, batch: bool
+) -> Tuple[List[Tuple[str, List[int]]], Dict[str, int]]:
+    """The one execution plan of a sweep: which spec indices run as
+    batch groups, which as fork groups, and (by omission) which cold.
+
+    Returns ``(groups, tally)``: ``("batch" | "fork", indices)`` pairs,
+    and the batch layer's ``bypass.*`` counts.  Fork plans over the
+    batch passthrough; a batch group that fails goes straight to cold,
+    never to fork.  An active fault plan disables both layers (injected
+    faults must land on real per-spec machines) and is tallied as
+    ``bypass.faults``.  The planners are looked up at call time.
+    """
+    groups: List[Tuple[str, List[int]]] = []
+    tally: Dict[str, int] = {}
+    if faults.current_plan() is not None:
+        if batch and specs:
+            from repro.batch.plan import BYPASS_FAULTS
+
+            tally[f"bypass.{BYPASS_FAULTS}"] = len(specs)
+        return groups, tally
+    rest = list(range(len(specs)))
+    if batch:
+        from repro.batch.plan import plan_batch_groups_report
+
+        batch_groups, rest, bypassed = plan_batch_groups_report(specs)
+        groups += [("batch", group) for group in batch_groups]
+        tally = {f"bypass.{reason}": n for reason, n in bypassed.items()}
+    if fork:
+        from repro.snapshot.fork import plan_fork_groups
+
+        fork_groups, _ = plan_fork_groups([specs[i] for i in rest])
+        groups += [("fork", [rest[j] for j in group]) for group in fork_groups]
+    return groups, tally
+
+
+def _run_group(item: Tuple[str, List[TrialSpec]]):
+    """Pool-dispatchable body of one ``(engine, specs)`` group
+    (module-level, picklable by reference).
 
     Returns ``(outcomes, ejected_lane_count)`` — outcomes aligned with
-    ``specs``, or ``(None, 0)`` when the group falls back to the layers
-    below.  The engine entry points are looked up at call time."""
-    ejected = 0
-    if engine == "fork":
-        from repro.snapshot.fork import run_fork_group
+    ``specs``, or ``(None, 0)`` when the group falls back to cold as a
+    whole: a failure inside a group never reaches another fast path.
+    The engine entry points are looked up at call time."""
+    engine, specs = item
+    try:
+        if engine == "fork":
+            from repro.snapshot.fork import run_fork_group
 
-        outcomes = run_fork_group(specs)
-    else:
-        from repro.batch.engine import run_batch_group_detailed
+            outcomes, ejected = run_fork_group(specs), 0
+        else:
+            from repro.batch.engine import run_batch_group_detailed
 
-        try:
             report = run_batch_group_detailed(specs)
-        except KeyboardInterrupt:
-            raise
-        except Exception:
-            return None, 0
-        outcomes, ejected = report.outcomes, report.ejected
+            outcomes, ejected = report.outcomes, report.ejected
+    except KeyboardInterrupt:
+        raise
+    except Exception:
+        return None, 0
     for outcome in outcomes or ():
         _check_lean_transport(outcome)
     return outcomes, ejected
@@ -524,15 +560,18 @@ class SweepRunner:
            snapshot state-schema hash) is already in ``cache_dir``
            return their memoized outcome without simulating;
         2. **journal merge** — checkpointed outcomes are reused;
-        3. **batch groups** — with ``batch=True`` (numpy present, no
-           fault plan active), remaining specs that differ only in
+        3. **groups** — :func:`plan_execution` plans the remaining
+           specs once (no fault plan active): with ``batch=True``
+           (numpy present), specs that differ only in
            secret/seed/reference schedule step as lockstep SoA lanes of
-           one leader run per secret (:mod:`repro.batch`);
-        4. **fork groups** — with ``fork=True`` (and no fault plan
-           active), remaining specs that differ only in secret/seed run
-           as probe-plus-forked-variants groups;
-        5. everything still unresolved runs cold, exactly as before;
-        6. fresh ``ok`` outcomes are written back to the cache.
+           one leader run per secret (:mod:`repro.batch`); with
+           ``fork=True``, the batch passthrough that differs only in
+           secret/seed runs as probe-plus-forked-variants groups.  All
+           groups go through one dispatch; a group that fails anywhere
+           runs wholly cold, counted (``batch_stats["failed"]``, or a
+           None from ``run_fork_group``);
+        4. everything still unresolved runs cold;
+        5. fresh ``ok`` outcomes are written back to the cache.
         """
         specs = list(specs)
         outcomes: List[Optional[TrialOutcome]] = [None] * len(specs)
@@ -545,34 +584,23 @@ class SweepRunner:
                     outcomes[i] = hit
                     cached.add(i)
         _merge_journal(specs, outcomes, journal)
-        if self.batch:
-            from repro.batch.plan import BYPASS_FAULTS, plan_batch_groups_report
-
-            tally: Dict[str, int] = {}
-            if faults.current_plan() is None:
-                (_, _, bypassed), results = self._run_groups(
-                    "batch", plan_batch_groups_report, specs, outcomes, journal
-                )
-                tally = {f"bypass.{reason}": n for reason, n in bypassed.items()}
-                for group, ejected in results:
-                    if ejected is None:
-                        # Group failed wholesale; falls through to fork/cold.
-                        tally["failed"] = tally.get("failed", 0) + len(group)
-                        continue
-                    tally["batched"] = tally.get("batched", 0) + len(group)
-                    tally["ejected"] = tally.get("ejected", 0) + ejected
+        pending = [i for i in range(len(specs)) if outcomes[i] is None]
+        planned, tally = plan_execution(
+            [specs[i] for i in pending], fork=self.fork, batch=self.batch
+        )
+        groups = [(engine, [pending[j] for j in group]) for engine, group in planned]
+        for (engine, group), ejected in zip(
+            groups, self._run_groups(groups, specs, outcomes, journal)
+        ):
+            if engine != "batch":
+                continue
+            if ejected is None:
+                tally["failed"] = tally.get("failed", 0) + len(group)
             else:
-                # An active fault plan disables the mirror wholesale
-                # (injected faults must land on real per-spec machines);
-                # account for it like any other bypass.
-                pending = sum(1 for o in outcomes if o is None)
-                if pending:
-                    tally[f"bypass.{BYPASS_FAULTS}"] = pending
+                tally["batched"] = tally.get("batched", 0) + len(group)
+                tally["ejected"] = tally.get("ejected", 0) + ejected
+        if self.batch:
             self._tally_batch(tally)
-        if self.fork and faults.current_plan() is None:
-            from repro.snapshot.fork import plan_fork_groups
-
-            self._run_groups("fork", plan_fork_groups, specs, outcomes, journal)
         rest = [i for i in range(len(specs)) if outcomes[i] is None]
         if rest:
             for i, outcome in zip(
@@ -596,45 +624,39 @@ class SweepRunner:
 
     def _run_groups(
         self,
-        engine: str,
-        plan: Callable,
+        groups: List[Tuple[str, List[int]]],
         specs: List[TrialSpec],
         outcomes: List[Optional[TrialOutcome]],
         journal: Optional[TrialJournal],
-    ) -> Tuple[tuple, List[Tuple[List[int], Optional[int]]]]:
-        """Plan the still-unresolved specs with ``plan`` and run each
-        group through ``engine`` (``"fork"`` or ``"batch"``), filling and
-        journaling the slots it covers; everything else stays None for
-        the layers below.
+    ) -> List[Optional[int]]:
+        """Run each ``(engine, spec indices)`` group through one
+        :meth:`map`, filling and journaling the slots it covers; a group
+        that fell back leaves its slots None for the cold layer.
 
-        Returns ``(planned, results)``: the planner's own return value,
-        and per group ``(spec indices, ejected lanes)``, with None
-        lanes for a group that fell back."""
-        pending = [i for i in range(len(specs)) if outcomes[i] is None]
-        planned = plan([specs[i] for i in pending])
-        groups = [[pending[j] for j in group] for group in planned[0]]
+        Returns per group the ejected lane count, or None for a group
+        that fell back."""
         if not groups:
-            return planned, []
+            return []
         try:
             results = self.map(
-                partial(_run_group, engine),
-                [[specs[i] for i in group] for group in groups],
+                _run_group,
+                [(engine, [specs[i] for i in group]) for engine, group in groups],
             )
         except KeyboardInterrupt:
             raise
         except Exception:
-            # Pool-level failure (e.g. a lost worker): the layers below
-            # re-run everything with their own fault tolerance.
+            # Pool-level failure (e.g. a lost worker): the cold layer
+            # re-runs everything with its own fault tolerance.
             results = [(None, 0)] * len(groups)
             self._reset_pool()
-        done: List[Tuple[List[int], Optional[int]]] = []
-        for group, (group_outcomes, ejected) in zip(groups, results):
-            done.append((group, None if group_outcomes is None else ejected))
+        done: List[Optional[int]] = []
+        for (_, group), (group_outcomes, ejected) in zip(groups, results):
+            done.append(None if group_outcomes is None else ejected)
             for i, outcome in zip(group, group_outcomes or ()):
                 outcomes[i] = outcome
                 if journal is not None and journal.should_record(outcome):
                     journal.record(outcome)
-        return planned, done
+        return done
 
     def _reset_pool(self) -> None:
         """Replace a broken worker pool (no-op without one)."""

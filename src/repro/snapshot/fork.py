@@ -91,10 +91,10 @@ def plan_fork_groups(
 def run_fork_group(specs: Sequence[TrialSpec]) -> Optional[List[TrialOutcome]]:
     """Execute one fork group; outcomes align with ``specs``.
 
-    Returns ``None`` when the probe itself fails — the caller re-runs
-    the whole group on the cold path, whose fault isolation reproduces
-    the failure as a structured outcome.  A failure in a *forked
-    variant* falls back to a cold run of just that spec.
+    Returns ``None`` when anything in the group fails — the probe or
+    any forked variant.  The caller counts the fallback and re-runs the
+    whole group on the cold path, whose fault isolation reproduces the
+    failure as a structured outcome.
     """
     try:
         return _run_fork_group(list(specs))
@@ -109,7 +109,6 @@ def _run_fork_group(specs: List[TrialSpec]) -> List[TrialOutcome]:
     from repro.runner.runner import (
         begin_spec_trial,
         ok_outcome,
-        run_trial_outcome,
         summarize_trial,
     )
     from repro.trace import Tracer
@@ -132,8 +131,8 @@ def _run_fork_group(specs: List[TrialSpec]) -> List[TrialOutcome]:
         (probe.secret, probe.seed): summarize_trial(probe, victim, probe_result)
     }
 
-    outcomes: List[Optional[TrialOutcome]] = [None] * len(specs)
-    for i, spec in enumerate(specs):
+    outcomes: List[TrialOutcome] = []
+    for spec in specs:
         computed = summaries.get((spec.secret, spec.seed))
         if computed is None and fork_snap is None:
             # The secret was never sampled: the run is secret-
@@ -150,14 +149,10 @@ def _run_fork_group(specs: List[TrialSpec]) -> List[TrialOutcome]:
                 base = _run_variant(
                     setup, spec, victim, fork_cycle, fork_snap
                 )
-                if base is None:
-                    # Variant-level fault: isolate via the cold path.
-                    outcomes[i] = run_trial_outcome(spec, plan=None)
-                    continue
                 summaries[(spec.secret, spec.seed)] = base
             computed = base
-        outcomes[i] = ok_outcome(spec, computed)
-    return outcomes  # type: ignore[return-value]
+        outcomes.append(ok_outcome(spec, computed))
+    return outcomes
 
 
 def _probe_to_fork_point(setup, secret_line: int):
@@ -225,16 +220,11 @@ def _run_variant(setup, spec: TrialSpec, victim, fork_cycle, fork_snap):
     """Restore the fork point, swap the secret in, run the suffix."""
     from repro.runner.runner import summarize_trial
 
-    try:
-        machine = setup.machine
-        machine.restore(fork_snap)
-        # poke, not write: the secret swap is the one divergence from
-        # the captured state and must not disturb access counters.
-        machine.hierarchy.memory.poke(victim.secret_addr, spec.secret)
-        setup.secret = spec.secret
-        return summarize_trial(spec, victim, _finish(setup, fork_cycle))
-    except KeyboardInterrupt:
-        raise
-    except Exception:
-        return None
+    machine = setup.machine
+    machine.restore(fork_snap)
+    # poke, not write: the secret swap is the one divergence from the
+    # captured state and must not disturb access counters.
+    machine.hierarchy.memory.poke(victim.secret_addr, spec.secret)
+    setup.secret = spec.secret
+    return summarize_trial(spec, victim, _finish(setup, fork_cycle))
 

@@ -11,13 +11,11 @@ bare-metal agent rather than a second pipeline.
 from repro.system.machine import Machine
 from repro.system.agent import AttackerAgent
 from repro.system.noise import NoiseInjector
-from repro.system.stats import MachineReport, core_report, machine_report
+from repro.system.stats import machine_metrics
 
 __all__ = [
     "Machine",
     "AttackerAgent",
     "NoiseInjector",
-    "MachineReport",
-    "core_report",
-    "machine_report",
+    "machine_metrics",
 ]

@@ -83,7 +83,6 @@ def test_batch_bit_identical_event_trace(scheme):
     report = run_batch_group_detailed(specs, with_traces=True)
     assert report.ejected == 0
     for cohort in report.cohorts:
-        assert cohort.error is None
         assert cohort.traces is not None
         for k, spec in enumerate(cohort.lane_specs):
             cold_tracer = Tracer()

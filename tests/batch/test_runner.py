@@ -5,7 +5,7 @@ import pytest
 pytest.importorskip("numpy")
 
 import repro.batch.plan as batch_plan
-from repro.batch import MIN_LANES, batch_eligible, group_key, plan_batch_groups_report
+from repro.batch import MIN_LANES, batch_bypass_reason, group_key, plan_batch_groups_report
 from repro.core.victims import ADDR_REF
 from repro.memory.hierarchy import HierarchyConfig
 from repro.runner import (
@@ -35,18 +35,19 @@ def _spec(**kw):
 # eligibility + planning
 # ----------------------------------------------------------------------
 def test_eligibility_gates():
-    assert batch_eligible(_spec())
-    assert not batch_eligible(_spec(sanitize=True))
-    assert not batch_eligible(_spec(snapshot_dir="/tmp/snaps"))
+    assert batch_bypass_reason(_spec()) is None
+    assert batch_bypass_reason(_spec(sanitize=True)) is not None
+    assert batch_bypass_reason(_spec(snapshot_dir="/tmp/snaps")) is not None
     # Since the counter-based RNG streams, jitter, noise and metrics
     # all batch — they re-partition into per-(secret, seed) cohorts or
     # project per-lane registries instead of bypassing.
-    assert batch_eligible(_spec(noise_rate=0.1, noise_pool=(ADDR_REF,)))
-    assert batch_eligible(_spec(collect_metrics=True))
+    assert batch_bypass_reason(_spec(noise_rate=0.1, noise_pool=(ADDR_REF,))) is None
+    assert batch_bypass_reason(_spec(collect_metrics=True)) is None
     jitter = HierarchyConfig(dram_jitter=5)
-    assert batch_eligible(_spec(hierarchy_config=jitter))
-    assert batch_eligible(
-        _spec(hierarchy_config=HierarchyConfig(dram_jitter=0))
+    assert batch_bypass_reason(_spec(hierarchy_config=jitter)) is None
+    assert (
+        batch_bypass_reason(_spec(hierarchy_config=HierarchyConfig(dram_jitter=0)))
+        is None
     )
 
 
@@ -154,7 +155,7 @@ def test_plan_requires_numpy(monkeypatch):
     groups, passthrough, _ = plan_batch_groups_report(specs)
     assert groups == []
     assert passthrough == [0, 1]
-    assert not batch_eligible(specs[0])
+    assert batch_bypass_reason(specs[0]) is not None
 
 
 def test_require_numpy_error_names_the_extra(monkeypatch):

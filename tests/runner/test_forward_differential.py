@@ -109,7 +109,6 @@ def test_forward_batch_event_traces_match_cold(scheme):
         report = run_batch_group_detailed(specs, with_traces=True)
         assert report.ejected == 0
         for cohort in report.cohorts:
-            assert cohort.error is None
             assert cohort.traces is not None
             for k, spec in enumerate(cohort.lane_specs):
                 cold_tracer = Tracer()

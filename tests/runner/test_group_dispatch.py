@@ -1,5 +1,9 @@
 """The runner's group-dispatch loop: fallbacks of the fork and batch
-layers to cold execution, and the fork+batch pool path."""
+layers to cold execution, and the fork+batch pool path.
+
+A group is the only fallback boundary: a failure anywhere inside a
+fork or batch group sends the whole group cold, where it is counted,
+and never to another fast path."""
 
 import pytest
 
@@ -109,3 +113,64 @@ def test_parallel_fork_and_batch_match_cold():
         result = runner.run(specs)
     assert result.outcomes == cold
     assert result.batch_stats["batched"] == 8
+
+
+def test_raising_cohort_fails_the_whole_batch_group(monkeypatch):
+    pytest.importorskip("numpy")
+    import repro.batch.engine as engine
+
+    def broken(*args, **kw):
+        raise RuntimeError("mirror bug")
+
+    monkeypatch.setattr(engine, "_run_cohort", broken)
+    specs = _mixed_specs()
+    with pytest.raises(RuntimeError, match="mirror bug"):
+        engine.run_batch_group_detailed(specs[:8])
+    result = SerialSweepRunner(batch=True).run(specs)
+    assert result.batch_stats["failed"] == 8
+    assert "batched" not in result.batch_stats
+    assert "ejected" not in result.batch_stats
+    assert result.outcomes == SerialSweepRunner().run_outcomes(specs)
+
+
+def test_raising_fork_variant_fails_the_whole_fork_group(monkeypatch):
+    finish = fork._finish
+    calls = []
+
+    def probe_only(setup, fork_cycle):
+        # The first call finishes the probe; every variant raises.
+        calls.append(fork_cycle)
+        if len(calls) > 1:
+            raise RuntimeError("variant bug")
+        return finish(setup, fork_cycle)
+
+    monkeypatch.setattr(fork, "_finish", probe_only)
+    specs = _fork_specs()
+    assert fork.run_fork_group(specs) is None
+    calls.clear()
+    assert SerialSweepRunner(fork=True).run_outcomes(
+        specs
+    ) == SerialSweepRunner().run_outcomes(specs)
+
+
+def test_failed_batch_group_is_not_replanned_for_fork(monkeypatch):
+    pytest.importorskip("numpy")
+    import repro.batch.engine as engine
+
+    def broken(specs, **kw):
+        raise RuntimeError("mirror bug")
+
+    forked = []
+    run_fork_group = fork.run_fork_group
+
+    def counting(specs):
+        forked.append(len(specs))
+        return run_fork_group(specs)
+
+    monkeypatch.setattr(engine, "run_batch_group_detailed", broken)
+    monkeypatch.setattr(fork, "run_fork_group", counting)
+    specs = _mixed_specs()
+    result = SerialSweepRunner(fork=True, batch=True).run(specs)
+    assert forked == []
+    assert result.batch_stats["failed"] == 8
+    assert result.outcomes == SerialSweepRunner().run_outcomes(specs)

@@ -1,12 +1,10 @@
-"""Tests for the machine/core statistics reports."""
+"""Tests for the machine statistics projection (``machine_metrics``)."""
 
 import json
 
-import pytest
-
 from repro.isa import ProgramBuilder
 from repro.system.machine import Machine
-from repro.system.stats import core_report, machine_report
+from repro.system.stats import machine_metrics
 
 from tests.conftest import small_hierarchy_config
 
@@ -29,49 +27,33 @@ def run_machine():
 class TestCoreReport:
     def test_counters_match_stats(self):
         m, core = run_machine()
-        report = core_report(core)
-        assert report.cycles == core.stats.cycles
-        assert report.retired == core.stats.retired
-        assert report.branches == core.stats.branches
-        assert report.scheme == "unsafe"
-
-    def test_mispredict_rate(self):
-        m, core = run_machine()
-        report = core_report(core)
-        assert 0.0 <= report.mispredict_rate <= 1.0
-
-    def test_as_dict_round_trips_json(self):
-        m, core = run_machine()
-        blob = json.dumps(core_report(core).as_dict())
-        assert json.loads(blob)["core"] == 0
+        flat = machine_metrics(m).as_flat_dict()
+        assert flat["core0.pipeline.cycles"] == core.stats.cycles
+        assert flat["core0.pipeline.retired"] == core.stats.retired
+        assert flat["core0.pipeline.branches"] == core.stats.branches
 
 
-class TestMachineReport:
+class TestMachineMetrics:
     def test_aggregates_all_levels(self):
         m, core = run_machine()
-        report = machine_report(m)
-        names = {c.name for c in report.caches}
-        assert {"L1I.0", "L1D.0", "L2.0", "LLC"} <= names
-        assert report.cycles == m.cycle
-        assert report.dram_reads > 0
+        reg = machine_metrics(m)
+        for level in ("L1I.0", "L1D.0", "L2.0", "LLC"):
+            for counter in ("hits", "misses", "fills", "evictions", "invalidations"):
+                assert f"cache.{level}.{counter}" in reg.counters
+        assert reg.gauge("machine.cycles") == m.cycle
+        assert reg.counter("dram.reads") > 0
 
     def test_llc_hit_rate_sane(self):
         m, core = run_machine()
-        report = machine_report(m)
-        llc = next(c for c in report.caches if c.name == "LLC")
-        assert 0.0 <= llc.hit_rate <= 1.0
-        assert llc.accesses == llc.hits + llc.misses
-
-    def test_render_mentions_cores_and_caches(self):
-        m, core = run_machine()
-        text = machine_report(m).render()
-        assert "core 0" in text
-        assert "LLC" in text
-        assert "ipc" in text
+        reg = machine_metrics(m)
+        hits = reg.counter("cache.LLC.hits")
+        misses = reg.counter("cache.LLC.misses")
+        assert hits >= 0 and misses >= 0
+        assert hits + misses > 0
 
     def test_json_serializable(self):
         m, core = run_machine()
-        blob = json.dumps(machine_report(m).as_dict())
-        parsed = json.loads(blob)
-        assert parsed["cycles"] == m.cycle
-        assert len(parsed["cores"]) == 1
+        parsed = json.loads(json.dumps(machine_metrics(m).to_json()))
+        assert parsed["gauges"]["machine.cycles"] == m.cycle
+        cores = {name.split(".")[0] for name in parsed["counters"] if name.startswith("core")}
+        assert cores == {"core0"}
