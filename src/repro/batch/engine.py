@@ -552,9 +552,7 @@ class LockstepMirror:
         cache_invalidate(st.caches[-1], lanes, line, sink)
         if self.has_coherence:
             for lane in lanes.tolist():
-                sharers = st.coherence[lane]
-                assert sharers is not None
-                sharers.pop(line, None)
+                self._sharers(lane).pop(line, None)
 
     def _back_invalidate_lane(
         self, lane: int, line: int, sink: Optional[_LaneSink]
@@ -566,8 +564,7 @@ class LockstepMirror:
             cache_invalidate(st.caches[3 * core + 1], one, line, sink)
             cache_invalidate(st.caches[3 * core + 2], one, line, sink)
             if self.has_coherence:
-                sharers = st.coherence[lane]
-                assert sharers is not None
+                sharers = self._sharers(lane)
                 entry = sharers.get(line)
                 if entry is not None:
                     entry.pop(core, None)
@@ -575,11 +572,19 @@ class LockstepMirror:
                         del sharers[line]
 
     # -- coherence mirrors (exact CoherenceDirectory translations) -----
+    def _sharers(self, lane: int) -> Dict[int, Dict[int, CoherenceState]]:
+        """The lane's coherence sharer map (coherence-enabled only)."""
+        sharers = self.state.coherence[lane]
+        if sharers is None:
+            raise BatchMirrorError(
+                f"lane {lane} has no coherence sharer map, but the "
+                "hierarchy it mirrors has coherence enabled"
+            )
+        return sharers
+
     def _coh_on_read(self, lane: int, core: int, line: int) -> int:
         st = self.state
-        sharers = st.coherence[lane]
-        assert sharers is not None
-        entry = sharers.setdefault(line, {})
+        entry = self._sharers(lane).setdefault(line, {})
         penalty = 0
         owner = next(
             (c for c, s in entry.items() if s.value == "M"), None
@@ -601,9 +606,7 @@ class LockstepMirror:
         self, lane: int, core: int, line: int
     ) -> Tuple[List[int], int]:
         st = self.state
-        sharers = st.coherence[lane]
-        assert sharers is not None
-        entry = sharers.setdefault(line, {})
+        entry = self._sharers(lane).setdefault(line, {})
         penalty = 0
         owner = next(
             (c for c, s in entry.items() if s.value == "M"), None
@@ -918,7 +921,7 @@ def _run_cohort(
     # the leader's seed whenever the seed matters (stream-dependent
     # groups cohort per seed; stream-inert seeds are relabeled).
     state = BatchState.from_snapshots(
-        hierarchy, [hierarchy.capture()] * len(lane_specs)
+        hierarchy, hierarchy.capture(), len(lane_specs)
     )
     mirror = LockstepMirror(
         machine,

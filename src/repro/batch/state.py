@@ -1,12 +1,13 @@
-"""Structure-of-arrays mirror of N cache-hierarchy snapshots.
+"""Structure-of-arrays mirror of N cache-hierarchy lanes.
 
 :class:`BatchState` holds the memory-system state of N sweep *lanes* as
 numpy arrays keyed by lane index.  The layout spec is the Snapshot
-protocol: ``BatchState.from_snapshots(hierarchy, captures)`` ingests the
-exact flat tuples produced by ``CacheHierarchy.capture()``, and
-``to_snapshot(lane)`` reproduces them bit-for-bit — the round trip is
-property-tested for every replacement policy, so the SoA layout can
-never silently drift from the scalar capture schema.
+protocol: ``BatchState.from_snapshots(hierarchy, capture, n_lanes)``
+starts every lane from the exact flat tuple produced by
+``CacheHierarchy.capture()``, and ``to_snapshot(lane)`` reproduces
+such a tuple bit-for-bit — the round trip is property-tested for every
+replacement policy, so the SoA layout can never silently drift from the
+scalar capture schema.
 
 Array layout per cache level (10 caches in ``all_caches()`` order):
 
@@ -25,7 +26,7 @@ simulations, not vectorizing dictionary writes.
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.batch._numpy import np, require_numpy
 from repro.memory.cache import Cache
@@ -67,6 +68,20 @@ def _check_snapshot_versions() -> None:
             )
 
 
+#: Per-policy SoA mirror of ``SetPolicy.snapshot_state()``: the
+#: (snapshot field, ``LaneCache`` array attribute) pairs in snapshot
+#: (sorted name) order.  A capture whose per-set field names differ is a
+#: schema drift and raises :class:`BatchSchemaError`.
+POLICY_FIELDS: Dict[str, Tuple[Tuple[str, str], ...]] = {
+    "lru": (("_last_use", "pol_last_use"), ("_stamp", "pol_stamp")),
+    "nru": (("_ref", "pol_ref"),),
+    "srrip": (("_rrpv", "pol_rrpv"),),
+    "plru": (("_bits", "pol_bits"),),
+    "qlru": (("_age", "pol_age"),),
+    "random": (),
+}
+
+
 class LaneCache:
     """SoA state of one cache level across all lanes."""
 
@@ -101,77 +116,73 @@ class LaneCache:
             self.pol_age: Any = np.zeros((n, s, w), dtype=np.int64)
         elif self.policy != "random":
             raise BatchSchemaError(f"unknown replacement policy {self.policy!r}")
+        self.fields = POLICY_FIELDS[self.policy]
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_captures(
-        cls, template: Cache, captures: Sequence[Tuple]
+    def from_capture(
+        cls, template: Cache, capture: Tuple, n_lanes: int
     ) -> "LaneCache":
-        """Build the SoA from per-lane ``Cache.capture()`` tuples."""
-        lc = cls(template, len(captures))
-        for lane, (sets_state, stats) in enumerate(captures):
-            if len(sets_state) != lc.total_sets:
-                raise BatchSchemaError(
-                    f"{lc.name}: capture has {len(sets_state)} sets, "
-                    f"geometry says {lc.total_sets}"
-                )
-            for s, (lines, policy_state) in enumerate(sets_state):
-                lc.lines[lane, s, :] = [
-                    -1 if line is None else line for line in lines
-                ]
-                lc._load_policy_state(lane, s, policy_state)
-            lc.stats[lane, :] = stats
+        """Build the SoA for ``n_lanes`` lanes that all start from one
+        ``Cache.capture()`` tuple.
+
+        The capture is decoded once, column by column, and each column
+        is copied into every lane of its (already allocated, writable)
+        array, so no two lanes share memory.
+        """
+        lc = cls(template, n_lanes)
+        sets_state, stats = capture
+        if len(sets_state) != lc.total_sets:
+            raise BatchSchemaError(
+                f"{lc.name}: capture has {len(sets_state)} sets, "
+                f"geometry says {lc.total_sets}"
+            )
+        set_lines, policy_states = zip(*sets_state)
+        lc._fill(
+            "lines",
+            [[-1 if line is None else line for line in lines] for lines in set_lines],
+        )
+        names = tuple(name for name, _ in lc.fields)
+        found = {tuple(name for name, _ in state) for state in policy_states}
+        if found != {names}:
+            raise BatchSchemaError(
+                f"{lc.name}: policy snapshot fields {sorted(found)} do not "
+                f"match {list(names)} for policy {lc.policy!r}"
+            )
+        for k, (_, attr) in enumerate(lc.fields):
+            lc._fill(attr, [state[k][1] for state in policy_states])
+        lc.stats[:] = stats
         return lc
 
-    def _load_policy_state(
-        self, lane: int, s: int, state: Tuple
-    ) -> None:
-        fields: Dict[str, Any] = dict(state)
-        if self.policy == "lru":
-            self.pol_stamp[lane, s] = fields.pop("_stamp")
-            self.pol_last_use[lane, s, :] = fields.pop("_last_use")
-        elif self.policy == "nru":
-            self.pol_ref[lane, s, :] = fields.pop("_ref")
-        elif self.policy == "srrip":
-            self.pol_rrpv[lane, s, :] = fields.pop("_rrpv")
-        elif self.policy == "plru":
-            self.pol_bits[lane, s, :] = fields.pop("_bits")
-        elif self.policy == "qlru":
-            self.pol_age[lane, s, :] = fields.pop("_age")
-        if fields:
+    def _fill(self, attr: str, column: List) -> None:
+        """Copy one decoded per-set column into every lane of ``attr``."""
+        target = getattr(self, attr)
+        values = np.array(column, dtype=np.int64)
+        if values.shape != target.shape[1:]:
             raise BatchSchemaError(
-                f"{self.name}: unexpected policy snapshot fields "
-                f"{sorted(fields)} for policy {self.policy!r}"
+                f"{self.name}: {attr} decodes to shape {values.shape}, "
+                f"the SoA layout expects {target.shape[1:]}"
             )
+        target[:] = values
 
     # ------------------------------------------------------------------
-    def _policy_snapshot(self, lane: int, s: int) -> Tuple:
-        """Reproduce ``SetPolicy.snapshot_state()`` (sorted name order)."""
-        if self.policy == "lru":
-            return (
-                ("_last_use", self.pol_last_use[lane, s, :].tolist()),
-                ("_stamp", int(self.pol_stamp[lane, s])),
-            )
-        if self.policy == "nru":
-            return (("_ref", self.pol_ref[lane, s, :].tolist()),)
-        if self.policy == "srrip":
-            return (("_rrpv", self.pol_rrpv[lane, s, :].tolist()),)
-        if self.policy == "plru":
-            return (("_bits", self.pol_bits[lane, s, :].tolist()),)
-        if self.policy == "qlru":
-            return (("_age", self.pol_age[lane, s, :].tolist()),)
-        return ()
-
     def to_snapshot(self, lane: int) -> Tuple:
         """Exact ``Cache.capture()`` tuple for one lane."""
-        sets_state = []
-        for s in range(self.total_sets):
-            lines = tuple(
-                None if line == -1 else line
-                for line in self.lines[lane, s, :].tolist()
+        lines = self.lines[lane].astype(object)
+        lines[self.lines[lane] == -1] = None
+        set_lines = map(tuple, lines.tolist())
+        if self.fields:
+            names = tuple(name for name, _ in self.fields)
+            columns = [getattr(self, attr)[lane].tolist() for _, attr in self.fields]
+            policy_states: Any = (
+                tuple(zip(names, values)) for values in zip(*columns)
             )
-            sets_state.append((lines, self._policy_snapshot(lane, s)))
-        return (tuple(sets_state), tuple(self.stats[lane, :].tolist()))
+        else:
+            policy_states = [()] * self.total_sets
+        return (
+            tuple(zip(set_lines, policy_states)),
+            tuple(self.stats[lane].tolist()),
+        )
 
 
 class BatchState:
@@ -213,38 +224,45 @@ class BatchState:
     # ------------------------------------------------------------------
     @classmethod
     def from_snapshots(
-        cls, hierarchy: CacheHierarchy, captures: Sequence[Tuple]
+        cls, hierarchy: CacheHierarchy, capture: Tuple, n_lanes: int
     ) -> "BatchState":
-        """Ingest per-lane ``CacheHierarchy.capture()`` tuples."""
-        state = cls(hierarchy, len(captures))
+        """Start ``n_lanes`` lanes from one ``CacheHierarchy.capture()``
+        tuple: each array field is decoded once and copied into every
+        lane, and every lane gets its own Python objects (DRAM dict,
+        visible log, coherence map, policy RNG)."""
+        state = cls(hierarchy, n_lanes)
+        caches, memory, mshrs, log, coherence, rng_state = capture
         templates = hierarchy.all_caches()
-        for j, template in enumerate(templates):
-            state.caches.append(
-                LaneCache.from_captures(
-                    template, [capture[0][j] for capture in captures]
-                )
+        if len(caches) != len(templates):
+            raise BatchSchemaError(
+                f"capture has {len(caches)} caches, the hierarchy "
+                f"has {len(templates)}"
             )
-        for lane, capture in enumerate(captures):
-            _caches, memory, mshrs, log, coherence, rng_state = capture
-            data, stream_state, reads, writes = memory
-            seed, last_cycle, last_core, seq = stream_state
-            state.mem_data.append(dict(data))
-            state.stream_seed[lane] = seed
-            state.stream_cycle[lane] = last_cycle
-            state.stream_core[lane] = last_core
-            state.stream_seq[lane] = seq
-            state.mem_reads[lane] = reads
-            state.mem_writes[lane] = writes
-            state.mshrs.append(mshrs)
-            state.visible_log.append(list(log))
-            if coherence is None:
-                state.coherence.append(None)
-            else:
-                sharers, coh_stats = coherence
-                state.coherence.append(
-                    {line: dict(entry) for line, entry in sharers}
-                )
-                state.coh_stats[lane, :] = coh_stats
+        state.caches = [
+            LaneCache.from_capture(template, cache_state, n_lanes)
+            for template, cache_state in zip(templates, caches)
+        ]
+        data, stream_state, reads, writes = memory
+        seed, last_cycle, last_core, seq = stream_state
+        state.mem_data = [dict(data) for _ in range(n_lanes)]
+        state.stream_seed[:] = seed
+        state.stream_cycle[:] = last_cycle
+        state.stream_core[:] = last_core
+        state.stream_seq[:] = seq
+        state.mem_reads[:] = reads
+        state.mem_writes[:] = writes
+        state.mshrs = [mshrs] * n_lanes
+        state.visible_log = [list(log) for _ in range(n_lanes)]
+        if coherence is None:
+            state.coherence = [None] * n_lanes
+        else:
+            sharers, coh_stats = coherence
+            state.coherence = [
+                {line: dict(entry) for line, entry in sharers}
+                for _ in range(n_lanes)
+            ]
+            state.coh_stats[:] = coh_stats
+        for _ in range(n_lanes):
             rng = random.Random()
             rng.setstate(rng_state)
             state.policy_rng.append(rng)

@@ -32,6 +32,8 @@ _HIT_PROMOTION = {3: 1, 2: 1, 1: 0, 0: 0}
 class QLRUPolicy(SetPolicy):
     """Exact QLRU_H11_M1_R0_U0 per-set state machine."""
 
+    _SNAP_FIELDS = ("_age",)
+
     def __init__(self, num_ways: int) -> None:
         super().__init__(num_ways)
         self._age: List[int] = [MAX_AGE] * num_ways

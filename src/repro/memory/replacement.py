@@ -52,20 +52,27 @@ class SetPolicy(ABC):
     #: mutable state, and thus excluded from snapshots.
     _SNAP_EXCLUDE = frozenset({"num_ways", "_rng", "max_rrpv"})
 
+    #: Sorted names of the mutable per-set fields: every ``__dict__``
+    #: entry not in :attr:`_SNAP_EXCLUDE`.  Each subclass declares its
+    #: own; tests/memory/test_replacement.py checks the declaration
+    #: against a live instance, so a new field cannot be dropped.
+    _SNAP_FIELDS: Tuple[str, ...]
+
     def snapshot_state(self) -> Tuple:
         """Flat copy of the mutable per-set policy state.
 
-        Generic over subclasses: every mutable field lives in
-        ``__dict__`` as an int or a list of ints, so a sorted
-        (name, value) tuple with lists copied out captures all of them.
-        Subclasses that rebind their lists (NRU, SRRIP) are covered
-        because :meth:`restore_state` rebinds too.
+        Generic over subclasses: every field in :attr:`_SNAP_FIELDS` is
+        an int or a list of ints, so a (name, value) tuple in name order
+        with lists copied out captures all of them.  Subclasses that
+        rebind their lists (NRU, SRRIP) are covered because
+        :meth:`restore_state` rebinds too.
         """
-        return tuple(
-            (name, list(value) if isinstance(value, list) else value)
-            for name, value in sorted(self.__dict__.items())
-            if name not in self._SNAP_EXCLUDE
-        )
+        fields = self.__dict__
+        state = []
+        for name in self._SNAP_FIELDS:
+            value = fields[name]
+            state.append((name, list(value) if isinstance(value, list) else value))
+        return tuple(state)
 
     def restore_state(self, state: Tuple) -> None:
         for name, value in state:
@@ -81,6 +88,8 @@ class SetPolicy(ABC):
 
 class LRUPolicy(SetPolicy):
     """True least-recently-used: per-way recency counters."""
+
+    _SNAP_FIELDS = ("_last_use", "_stamp")
 
     def __init__(self, num_ways: int) -> None:
         super().__init__(num_ways)
@@ -114,6 +123,8 @@ class LRUPolicy(SetPolicy):
 class RandomPolicy(SetPolicy):
     """Uniform-random victim selection (used by CleanupSpec's L1)."""
 
+    _SNAP_FIELDS = ()
+
     def __init__(self, num_ways: int, *, rng: Optional[random.Random] = None) -> None:
         super().__init__(num_ways)
         self._rng = rng or random.Random(0)
@@ -133,6 +144,8 @@ class RandomPolicy(SetPolicy):
 
 class NRUPolicy(SetPolicy):
     """Not-recently-used: one reference bit per way."""
+
+    _SNAP_FIELDS = ("_ref",)
 
     def __init__(self, num_ways: int) -> None:
         super().__init__(num_ways)
@@ -163,6 +176,8 @@ class NRUPolicy(SetPolicy):
 class SRRIPPolicy(SetPolicy):
     """Static re-reference interval prediction (Jaleel et al., ISCA'10)."""
 
+    _SNAP_FIELDS = ("_rrpv",)
+
     def __init__(self, num_ways: int, *, bits: int = 2) -> None:
         super().__init__(num_ways)
         self.max_rrpv = (1 << bits) - 1
@@ -190,6 +205,8 @@ class SRRIPPolicy(SetPolicy):
 
 class TreePLRUPolicy(SetPolicy):
     """Binary-tree pseudo-LRU (requires power-of-two ways)."""
+
+    _SNAP_FIELDS = ("_bits",)
 
     def __init__(self, num_ways: int) -> None:
         super().__init__(num_ways)

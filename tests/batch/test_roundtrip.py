@@ -1,7 +1,7 @@
 """BatchState round-trip properties.
 
 The Snapshot protocol's flat ``capture()`` tuples are the SoA layout
-spec: ``BatchState.from_snapshots([...])`` followed by
+spec: ``BatchState.from_snapshots(h, capture, n)`` followed by
 ``.to_snapshot(lane)`` must be the identity on every component schema
 (caches under all six replacement policies, main memory, MSHRs,
 coherence directory on and off, sliced LLCs), from any mid-run state.
@@ -51,7 +51,7 @@ def test_from_snapshots_to_snapshot_identity(scheme, cycles, lanes, secret):
     the exact snapshot tuple it was loaded from."""
     hierarchy = _mid_run_hierarchy(scheme, cycles, secret=secret)
     snap = hierarchy.capture()
-    state = BatchState.from_snapshots(hierarchy, [snap] * lanes)
+    state = BatchState.from_snapshots(hierarchy, snap, lanes)
     for lane in range(lanes):
         assert state.to_snapshot(lane) == snap
 
@@ -79,7 +79,7 @@ def test_identity_across_policies_and_coherence(
     )
     hierarchy = _mid_run_hierarchy("unsafe", cycles, config=config)
     snap = hierarchy.capture()
-    state = BatchState.from_snapshots(hierarchy, [snap, snap])
+    state = BatchState.from_snapshots(hierarchy, snap, 2)
     assert state.to_snapshot(0) == snap
     assert state.to_snapshot(1) == snap
 
@@ -89,7 +89,7 @@ def test_lanes_are_independent():
     the soundness of divergence-ejection rests on this isolation."""
     hierarchy = _mid_run_hierarchy("dom-nontso", 150)
     snap = hierarchy.capture()
-    state = BatchState.from_snapshots(hierarchy, [snap, snap])
+    state = BatchState.from_snapshots(hierarchy, snap, 2)
     llc = state.caches[-1]  # all_caches() order: the LLC is last
     lane0 = np.array([0], dtype=np.int64)
     line = 0x7F00_0000  # definitely absent: forces a miss then a fill
@@ -98,12 +98,72 @@ def test_lanes_are_independent():
     assert state.to_snapshot(1) == snap
     assert state.to_snapshot(0) != snap
 
+    # Every per-lane array and object after the one-capture broadcast,
+    # under coherence and every non-LRU policy: each mutation of lane 0
+    # must show in lane 0 and leave lane 1 exactly at the capture.
+    mixed = HierarchyConfig(
+        l1i=LevelConfig(16, 4, latency=3, policy="random"),
+        l1d=LevelConfig(16, 4, latency=3, policy="nru"),
+        l2=LevelConfig(64, 4, latency=12, policy="plru"),
+        llc=LevelConfig(64, 8, latency=40, policy="srrip", num_slices=2),
+        enable_coherence=True,
+    )
+    for config in (mixed, HierarchyConfig(enable_coherence=True)):
+        hierarchy = _mid_run_hierarchy("unsafe", 200, config=config)
+        snap = hierarchy.capture()
+        assert snap[4] is not None and snap[4][0], "no coherence state"
+        layout = BatchState.from_snapshots(hierarchy, snap, 2)
+        for label, mutate in _lane0_mutations(layout):
+            state = BatchState.from_snapshots(hierarchy, snap, 2)
+            mutate(state)
+            assert state.to_snapshot(0) != snap, label
+            assert state.to_snapshot(1) == snap, label
+
+
+def _bump_lane0(array):
+    array[(0,) * array.ndim] += 1
+
+
+def _lane0_mutations(state):
+    """(label, mutator) for every per-lane array and object of a
+    BatchState with ``state``'s layout; each mutator changes lane 0."""
+    mutations = []
+    for j, lane_cache in enumerate(state.caches):
+        attrs = ("lines", "stats") + tuple(a for _, a in lane_cache.fields)
+        for attr in attrs:
+            mutations.append((
+                f"caches[{j}].{attr}",
+                lambda st, j=j, attr=attr: _bump_lane0(
+                    getattr(st.caches[j], attr)
+                ),
+            ))
+    for attr in (
+        "mem_reads", "mem_writes", "stream_seed", "stream_cycle",
+        "stream_core", "stream_seq", "coh_stats",
+    ):
+        mutations.append(
+            (attr, lambda st, attr=attr: _bump_lane0(getattr(st, attr)))
+        )
+    return mutations + [
+        ("mem_data", lambda st: st.mem_data[0].update({0x7F00_0000: 1})),
+        ("visible_log", lambda st: st.visible_log[0].append(None)),
+        (
+            "coherence map",
+            lambda st: st.coherence[0].update({0x7F00_0000: {}}),
+        ),
+        (
+            "coherence entry",
+            lambda st: next(e for e in st.coherence[0].values() if e).clear(),
+        ),
+        ("policy rng", lambda st: st.policy_rng[0].random()),
+    ]
+
 
 def test_restore_into_round_trips():
     """restore_into() writes a lane's state back into a live hierarchy
     so that a scalar re-capture reproduces the lane snapshot."""
     hierarchy = _mid_run_hierarchy("muontrap", 120)
     snap = hierarchy.capture()
-    state = BatchState.from_snapshots(hierarchy, [snap])
+    state = BatchState.from_snapshots(hierarchy, snap, 1)
     state.restore_into(hierarchy, 0)
     assert hierarchy.capture() == snap

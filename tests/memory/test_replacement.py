@@ -132,3 +132,42 @@ class TestFactory:
             p.on_fill(way)
         victim = p.select_victim([True] * 4)
         assert 0 <= victim < 4
+
+
+class TestSnapshotFields:
+    """``snapshot_state`` reads only the declared ``_SNAP_FIELDS``; a
+    field added to a policy without declaring it would silently drop
+    out of every capture, so the declaration is checked against a live,
+    exercised instance."""
+
+    @staticmethod
+    def _exercised(name):
+        p = make_policy(name, 8, rng=random.Random(3))
+        fill_all(p, 8)
+        for way in (3, 5, 3, 0):
+            p.on_hit(way)
+        p.on_fill(p.select_victim([True] * 8))
+        return p
+
+    @pytest.mark.parametrize("name", POLICY_NAMES)
+    def test_declared_fields_are_the_mutable_state(self, name):
+        p = self._exercised(name)
+        mutable = sorted(k for k in vars(p) if k not in p._SNAP_EXCLUDE)
+        assert p._SNAP_FIELDS == tuple(mutable)
+
+    @pytest.mark.parametrize("name", POLICY_NAMES)
+    def test_snapshot_is_the_sorted_field_copy(self, name):
+        p = self._exercised(name)
+        expected = tuple(
+            (k, list(v) if isinstance(v, list) else v)
+            for k, v in sorted(vars(p).items())
+            if k not in p._SNAP_EXCLUDE
+        )
+        state = p.snapshot_state()
+        assert state == expected
+        for field, value in state:
+            if isinstance(value, list):
+                assert value is not getattr(p, field)
+        clone = make_policy(name, 8, rng=random.Random(3))
+        clone.restore_state(state)
+        assert clone.snapshot_state() == state
