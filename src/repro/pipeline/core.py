@@ -151,7 +151,23 @@ class Core:
         self.cycle = 0
         self.halted = False
         self.stats = CoreStats()
+        #: ROB safety prefix (``ROB.safety_flags``) the current or next
+        #: step's safety transitions and issue gating read.
         self.safety_flags: Dict[int, SafetyFlags] = {}
+        #: True while ``safety_flags`` matches the ROB as it stands, so
+        #: the ROB is walked at most once per simulated cycle: the
+        #: quiescence probe walks the post-step state and the next
+        #: ``step`` reuses that walk.  ``step`` clears the mark (its
+        #: stages mutate the ROB); ``restore`` recomputes and sets it.
+        #: Between a probe and the next step only idle work may run,
+        #: none of which touches this core's instructions:
+        #: ``fast_forward`` (proven idle), ``Machine`` scheduled actions
+        #: (hierarchy only) and other cores' steps.  Cycle hooks and
+        #: fault injectors, which could do more, turn fast-forward off,
+        #: so no probe runs while they are installed; a restored prefix
+        #: also relies on the ones in the tree (noise, fault and
+        #: sanitizer hooks) never touching instructions.
+        self._safety_fresh = False
 
         # frontend state
         self._seq = 0
@@ -201,7 +217,9 @@ class Core:
             self.fault_injector.on_core_cycle(self)
         if self.halted:
             return
-        self.safety_flags = self.rob.safety_flags()
+        if not self._safety_fresh:
+            self.safety_flags = self.rob.safety_flags()
+        self._safety_fresh = False
         self._update_safety()
         self._retire()
         self._writeback()
@@ -278,6 +296,8 @@ class Core:
         if self.halted:
             return None
         nxt = self.cycle + 1
+        # The cheap checks run first: about 4 in 5 probes fail, and a
+        # failing probe should fail before it walks the ROB or the RS.
         # Results waiting on the CDB broadcast next cycle.
         if len(self.cdb):
             return None
@@ -285,17 +305,6 @@ class Core:
         head = self.rob.head()
         if head is not None and head.phase is Phase.COMPLETED:
             return None
-        # A load would transition to safe (on_load_safe side effects).
-        model = self.scheme.safety
-        flags_map = self.rob.safety_flags()
-        for entry in self.rob:
-            if entry.phase is Phase.SQUASHED:
-                continue
-            if not entry.is_load or entry.became_safe:
-                continue
-            flags = flags_map.get(entry.seq)
-            if flags is not None and is_safe(model, flags):
-                return None
         # The implicit-halt condition would fire.
         if (
             self.rob.empty
@@ -319,14 +328,6 @@ class Core:
             if finish <= nxt:
                 return None
             wake = min(wake, finish)
-        # Every parked load must provably stay parked (in its state).
-        for load in self.lsu.parked_loads():
-            if not self.lsu.parked_load_keeps_waiting(self, load):
-                return None
-        # Nothing in the RS may be able to issue.
-        for instr in self.rs.waiting_sorted():
-            if not self._issue_blocked_next_cycle(instr, flags_map):
-                return None
         # Dispatch must be blocked (or have nothing to do).
         if self.fetch_queue:
             instr = self.fetch_queue[0]
@@ -361,6 +362,28 @@ class Core:
                 return None
         if wake <= nxt:
             return None
+        # A load would transition to safe (on_load_safe side effects).
+        # Prefix flags only worsen toward younger entries and every
+        # safety model is monotone in them, so the first load that is
+        # not safe yet ends the scan.
+        if not self._safety_fresh:
+            self.safety_flags = self.rob.safety_flags()
+            self._safety_fresh = True
+        flags_map = self.safety_flags
+        model = self.scheme.safety
+        for entry in self.rob:
+            if entry.is_load and not entry.became_safe:
+                if is_safe(model, flags_map[entry.seq]):
+                    return None
+                break
+        # Every parked load must provably stay parked (in its state).
+        for load in self.lsu.parked_loads():
+            if not self.lsu.parked_load_keeps_waiting(self, load):
+                return None
+        # Nothing in the RS may be able to issue.
+        for instr in self.rs.waiting_sorted():
+            if not self._issue_blocked_next_cycle(instr, flags_map):
+                return None
         return wake
 
     def _issue_blocked_next_cycle(
@@ -440,6 +463,7 @@ class Core:
         safe (enforced implicitly: prefix flags only improve with age).
         """
         model = self.scheme.safety
+        flags_map = self.safety_flags
         # Snapshot: on_load_safe may squash (value-prediction replay),
         # mutating the ROB under us.
         for entry in list(self.rob):
@@ -447,17 +471,18 @@ class Core:
                 continue
             if not entry.is_load or entry.became_safe:
                 continue
-            flags = self.safety_flags.get(entry.seq)
-            if flags is not None and is_safe(model, flags):
-                entry.became_safe = True
-                if self.tracer is not None:
-                    self.tracer.emit(
-                        EventKind.SCHEME_SAFE,
-                        cycle=self.cycle,
-                        seq=entry.seq,
-                        instr=entry.name,
-                    )
-                self.scheme.on_load_safe(self, entry)
+            if not is_safe(model, flags_map[entry.seq]):
+                # Every younger load has flags no better than this one's.
+                break
+            entry.became_safe = True
+            if self.tracer is not None:
+                self.tracer.emit(
+                    EventKind.SCHEME_SAFE,
+                    cycle=self.cycle,
+                    seq=entry.seq,
+                    instr=entry.name,
+                )
+            self.scheme.on_load_safe(self, entry)
 
     # ==================================================================
     # retire
@@ -656,7 +681,10 @@ class Core:
         return eu.can_accept(self.cycle)
 
     def _blocked_by_fence(self, seq: int) -> bool:
-        return any(f < seq for f in self._fences)
+        fences = self._fences
+        if not fences:
+            return False
+        return min(fences) < seq
 
     def _sources_ready(self, instr: DynInstr) -> bool:
         scoreboard_get = self._scoreboard.get
@@ -1019,9 +1047,9 @@ class Core:
         self._last_progress_cycle = last_progress
         self.predictor.restore_state(predictor_state)
         self.scheme.restore_state(scheme_state)
-        # Derived per-cycle state: recomputed at the top of every step,
-        # but restore it defensively for anything peeking between steps.
+        # Derived per-cycle state: the next probe or step reuses it.
         self.safety_flags = self.rob.safety_flags()
+        self._safety_fresh = True
 
     # ==================================================================
     # diagnostics

@@ -55,23 +55,23 @@ class DynInstr:
     #: emits ``scheme.decision`` events only on transitions, so traces
     #: are identical with idle fast-forward on or off.
     last_decision: Optional[str] = None
+    #: Opclass predicates, fixed by ``static`` and set once at
+    #: construction: every pipeline stage and the per-cycle safety walk
+    #: read them, so they are plain slots rather than properties.
+    is_load: bool = field(init=False, repr=False, compare=False)
+    is_store: bool = field(init=False, repr=False, compare=False)
+    is_branch: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        opclass = self.static.opclass
+        self.is_load = opclass is OpClass.LOAD
+        self.is_store = opclass is OpClass.STORE
+        self.is_branch = opclass is OpClass.BRANCH
 
     # ------------------------------------------------------------------
     @property
     def opclass(self) -> OpClass:
         return self.static.opclass
-
-    @property
-    def is_load(self) -> bool:
-        return self.static.opclass is OpClass.LOAD
-
-    @property
-    def is_store(self) -> bool:
-        return self.static.opclass is OpClass.STORE
-
-    @property
-    def is_branch(self) -> bool:
-        return self.static.opclass is OpClass.BRANCH
 
     @property
     def is_unresolved_branch(self) -> bool:

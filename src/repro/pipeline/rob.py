@@ -1,11 +1,14 @@
 """Reorder buffer: in-order window over in-flight instructions.
 
-Also computes, once per cycle, the *safety prefix flags* every
-speculation scheme's safety model consumes: for each in-flight
-instruction, whether all older branches have resolved, whether all
-older memory operations have resolved their addresses, whether all
-older loads have completed, and whether all older instructions have
-completed (§2.2, §3.3.1).
+Also computes the *safety prefix flags* every speculation scheme's
+safety model consumes: for each in-flight instruction, whether all
+older branches have resolved, whether all older memory operations have
+resolved their addresses, whether all older loads have completed, and
+whether all older instructions have completed (§2.2, §3.3.1).  The
+owning core walks the prefix at most once per simulated cycle; the walk
+stops at the first entry past which every predicate is false, because a
+predicate over *older* entries can only turn false as the walk moves to
+younger ones.
 """
 
 from __future__ import annotations
@@ -33,16 +36,24 @@ class SafetyFlags:
     is_oldest: bool
 
 
-#: The flag space is tiny (2^6 combinations) and ``safety_flags`` builds
-#: one instance per ROB entry per cycle — intern them instead.
-_FLAGS_CACHE: Dict[tuple, SafetyFlags] = {}
+#: Bit masks over the six :class:`SafetyFlags` fields, in declaration
+#: order.  The five prefix predicates are ``_PREFIX``; ``is_oldest`` is
+#: ``_OLDEST``.
+_BRANCHES = 1
+_STORES_ADDR = 2
+_MEM_ADDR = 4
+_LOADS_COMPLETED = 8
+_ALL_COMPLETED = 16
+_OLDEST = 32
+_PREFIX = _BRANCHES | _STORES_ADDR | _MEM_ADDR | _LOADS_COMPLETED | _ALL_COMPLETED
 
-
-def _interned_flags(key: tuple) -> SafetyFlags:
-    flags = _FLAGS_CACHE.get(key)
-    if flags is None:
-        flags = _FLAGS_CACHE.setdefault(key, SafetyFlags(*key))
-    return flags
+#: The flag space is tiny (2^6 combinations) and ``safety_flags`` hands
+#: one instance to every ROB entry, so all 64 are built once and looked
+#: up by mask: entry ``m`` has field ``i`` set iff bit ``i`` of ``m`` is.
+_FLAGS_BY_MASK: Tuple[SafetyFlags, ...] = tuple(
+    SafetyFlags(*(bool(mask >> bit & 1) for bit in range(6)))
+    for mask in range(64)
+)
 
 
 class ROB:
@@ -100,36 +111,35 @@ class ROB:
 
     # ------------------------------------------------------------------
     def safety_flags(self) -> Dict[int, SafetyFlags]:
-        """Prefix safety predicates for every current entry, by seq."""
+        """Prefix safety predicates for every current entry, by seq.
+
+        Stops examining entries once all five prefix predicates are
+        false: every younger entry then maps to the all-false flags.
+        """
         flags: Dict[int, SafetyFlags] = {}
-        branches_resolved = True
-        stores_addr_resolved = True
-        mem_addr_resolved = True
-        loads_completed = True
-        all_completed = True
-        first = True
-        for entry in self._entries:
-            flags[entry.seq] = _interned_flags(
-                (
-                    branches_resolved,
-                    stores_addr_resolved,
-                    mem_addr_resolved,
-                    loads_completed,
-                    all_completed,
-                    first,
-                )
-            )
-            first = False
-            if entry.is_unresolved_branch:
-                branches_resolved = False
-            if (entry.is_load or entry.is_store) and entry.addr is None:
-                mem_addr_resolved = False
-                if entry.is_store:
-                    stores_addr_resolved = False
-            if entry.is_load and entry.phase is not Phase.COMPLETED:
-                loads_completed = False
+        table = _FLAGS_BY_MASK
+        mask = _PREFIX | _OLDEST
+        entries = iter(self._entries)
+        for entry in entries:
+            flags[entry.seq] = table[mask]
+            mask &= _PREFIX
             if entry.phase is not Phase.COMPLETED:
-                all_completed = False
+                mask &= ~_ALL_COMPLETED
+                if entry.is_load:
+                    mask &= ~_LOADS_COMPLETED
+            if entry.addr is None:
+                if entry.is_load:
+                    mask &= ~_MEM_ADDR
+                elif entry.is_store:
+                    mask &= ~(_MEM_ADDR | _STORES_ADDR)
+            if entry.is_branch and not entry.resolved:
+                if not entry.static.unconditional:  # is_unresolved_branch
+                    mask &= ~_BRANCHES
+            if not mask:
+                break
+        all_false = table[0]
+        for entry in entries:
+            flags[entry.seq] = all_false
         return flags
 
     def older_stores(self, seq: int) -> List[DynInstr]:
